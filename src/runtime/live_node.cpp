@@ -179,6 +179,7 @@ void LiveNode::handle(MsgInstall& msg) {
   }
   objects_[msg.name] = fit->second(msg.name, std::move(msg.state));
   if (msg.seq != 0) installed_seq_[msg.name] = msg.seq;
+  if (msg.self_entry) set_dir_entry(msg.name, id_);
   hosted_.fetch_add(1, std::memory_order_relaxed);
   obs::node_metrics().hosted_objects->add(1);
   msg.done.set_value(true);
@@ -201,11 +202,16 @@ void LiveNode::handle(MsgDirUpdate& msg) {
   // entry), so a retransmission converges to the same state.
   if (msg.invalidate) {
     dir_entries_.erase(msg.name);
+    dir_entry_count_.store(dir_entries_.size(), std::memory_order_relaxed);
   } else {
-    dir_entries_[msg.name] = msg.node;
+    set_dir_entry(msg.name, msg.node);
   }
-  dir_entry_count_.store(dir_entries_.size(), std::memory_order_relaxed);
   msg.done.set_value(DirAck{true});
+}
+
+void LiveNode::set_dir_entry(const std::string& name, std::uint64_t node) {
+  dir_entries_[name] = node;
+  dir_entry_count_.store(dir_entries_.size(), std::memory_order_relaxed);
 }
 
 void LiveNode::handle(MsgEvict& msg) {
@@ -221,6 +227,11 @@ void LiveNode::handle(MsgEvict& msg) {
       return;
     }
   }
+  // The forwarding entry is written even when the object is missing (lost
+  // with a crash): the coordinator then recovers it onto the same
+  // destination from its checkpoint. Duplicates of a successful evict
+  // returned above, so they never rewrite the entry.
+  if (msg.forward_to.has_value()) set_dir_entry(msg.name, *msg.forward_to);
   auto it = objects_.find(msg.name);
   if (it == objects_.end()) {
     msg.state.set_value(ObjectState{});  // empty type signals failure

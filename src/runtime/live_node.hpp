@@ -84,6 +84,8 @@ private:
   void handle(MsgEvict& msg);
   void handle(MsgDirLookup& msg);
   void handle(MsgDirUpdate& msg);
+  /// Records `name -> node` in this node's directory table.
+  void set_dir_entry(const std::string& name, std::uint64_t node);
   /// Inserts into a seq-keyed cache, evicting the oldest entry beyond the
   /// retention bound (enough to cover any plausible retransmission window).
   template <class V>
@@ -106,9 +108,10 @@ private:
   std::deque<std::uint64_t> invoke_order_;
   std::unordered_map<std::uint64_t, ObjectState> evicted_states_;
   std::deque<std::uint64_t> evict_order_;
-  /// Sharded-directory state this node serves: its shard slice plus any
-  /// forwarding hints left when an object migrated away. Volatile — a
-  /// crash loses it, and the coordinator re-seeds the slice on restart.
+  /// Sharded-directory state this node serves: its shard slice, the
+  /// forwarding entries its evicts leave behind and the self-entries its
+  /// installs record. Volatile — a crash loses it, and the coordinator
+  /// re-seeds the slice on restart.
   std::unordered_map<std::string, std::uint64_t> dir_entries_;
 
   std::atomic<std::uint64_t> processed_{0};

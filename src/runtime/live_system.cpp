@@ -306,6 +306,9 @@ bool LiveSystem::install_with_retry(std::size_t node, const std::string& name,
   msg.seq = seq;
   msg.name = name;
   msg.state = state;
+  // The new host records its own self-entry as it installs, so forwarding
+  // chases that reach it terminate without a separate DirUpdate.
+  msg.self_entry = sharded();
   for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
     if (attempt > 0) {
       retries_.fetch_add(1, std::memory_order_relaxed);
@@ -342,8 +345,8 @@ bool LiveSystem::create(const std::string& name, ObjectState state,
     directory_.erase(name);
     return false;
   }
-  // Seed the shard owner's slice (and a self-entry at the host, so a
-  // forwarding chase arriving here resolves instead of running dry).
+  // The install left the host's self-entry; seed the shard owner's slice
+  // too when another node serves it.
   if (sharded()) dir_publish_move(name, node, node);
   if (store_ != nullptr) {
     // Persist the creation checkpoint; only a fsynced append upgrades the
@@ -580,6 +583,8 @@ std::size_t LiveSystem::relocate(const std::vector<std::string>& objects,
     transport::WireEvict evict;
     evict.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
     evict.name = name;
+    // The source records its forwarding entry as it gives the object up.
+    if (sharded()) evict.forward_to = static_cast<std::uint64_t>(dest);
     for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
       if (attempt > 0) {
         retries_.fetch_add(1, std::memory_order_relaxed);
@@ -626,7 +631,9 @@ std::size_t LiveSystem::relocate(const std::vector<std::string>& objects,
     if (!install_with_retry(dest, name, *decoded, src)) {
       // Destination died mid-move: put the object back on the source. If
       // that is down too, the directory entry plus checkpoint let restart
-      // reconciliation revive it there — the object is never lost.
+      // reconciliation revive it there — the object is never lost. The
+      // reinstall's self-entry overwrites the forwarding entry the evict
+      // left at the source (its shard slice, when it owns the shard).
       install_with_retry(src, name, *decoded, dest);
       target = src;
     }
@@ -636,11 +643,17 @@ std::size_t LiveSystem::relocate(const std::vector<std::string>& objects,
       std::lock_guard lock{mutex_};
       Meta& meta = directory_.at(name);
       meta.node = target;
-      meta.in_transit = false;
       if (target != src) cursor = ++meta.moves;
+    }
+    // The owner update is acked before the transit ends, so the next move
+    // of this object cannot overtake it: updates for one object reach the
+    // owner in order, and its slice never names a node the object left.
+    if (sharded()) dir_publish_move(name, src, target);
+    {
+      std::lock_guard lock{mutex_};
+      directory_.at(name).in_transit = false;
       trace_locked(trace::EventKind::MigrationEnd, name, target);
     }
-    if (sharded() && target != src) dir_publish_move(name, src, target);
     if (store_ != nullptr && target != src) {
       // Log the location change, then checkpoint the in-flight state under
       // the new home — both fsynced before relocate() acks the migration,
@@ -970,6 +983,7 @@ void LiveSystem::restart_node(std::size_t node) {
       }
     }
   }
+  // Each reinstall records its own self-entry (sharded directory).
   for (const auto& [name, state, durable] : to_restore) {
     if (install_with_retry(node, name, state, kExternalSender)) {
       recoveries_.fetch_add(1, std::memory_order_relaxed);
@@ -981,8 +995,8 @@ void LiveSystem::restart_node(std::size_t node) {
       }
     }
   }
-  // The fresh node serves an empty directory slice; rebuild it (plus the
-  // self-entries for objects reinstalled here) from the central map.
+  // The fresh node serves an empty directory slice; rebuild it from the
+  // central map.
   if (sharded()) dir_reseed_node(node);
   restarts_.fetch_add(1, std::memory_order_relaxed);
   obs::runtime_metrics().restarts->inc();
@@ -1043,6 +1057,14 @@ std::optional<DirReply> LiveSystem::dir_lookup(std::size_t from,
     if (got.has_value()) return got;
   }
   return std::nullopt;
+}
+
+std::optional<std::size_t> LiveSystem::directory_entry(
+    std::size_t node, const std::string& name) {
+  OMIG_REQUIRE(node < node_count(), "node index out of range");
+  const auto reply = dir_lookup(kExternalSender, node, name);
+  if (!reply.has_value() || !reply->found) return std::nullopt;
+  return static_cast<std::size_t>(reply->node);
 }
 
 std::size_t LiveSystem::resolve_sharded(std::optional<std::size_t> from,
@@ -1132,12 +1154,14 @@ std::size_t LiveSystem::resolve_sharded(std::optional<std::size_t> from,
 
 void LiveSystem::dir_publish_move(const std::string& name, std::size_t src,
                                   std::size_t dest) {
+  // The evict wrote src's entry and the install dest's, so a shard owner
+  // among them already holds `name -> dest`. A crashed owner is skipped:
+  // the central map already names dest, and its restart re-seeds the
+  // slice from there.
   const std::size_t owner = shard_owner(shard_of(name));
-  // Authoritative slice first, then the forwarding hint at the old host
-  // and a self-entry at the new one so chases terminate there.
-  (void)dir_update(owner, name, dest, false);
-  if (src != dest && src != owner) (void)dir_update(src, name, dest, false);
-  if (dest != owner) (void)dir_update(dest, name, dest, false);
+  if (owner != src && owner != dest && node_up(owner)) {
+    (void)dir_update(owner, name, dest, false);
+  }
   if (options_.dir_strategy == objsys::ConsistencyStrategy::EagerInvalidate) {
     for (auto& cache : caches_) {
       if (cache->invalidate(name)) {
@@ -1155,8 +1179,6 @@ void LiveSystem::dir_reseed_node(std::size_t node) {
     for (const auto& [name, meta] : directory_) {
       if (shard_owner(shard_of(name)) == node) {
         slice.emplace_back(name, meta.node);
-      } else if (meta.node == node && !meta.in_transit) {
-        slice.emplace_back(name, node);  // self-entry for a reinstall
       }
     }
   }

@@ -345,7 +345,9 @@ public:
   [[nodiscard]] std::uint64_t dir_stale_hits() const;
   /// Forwarding-hint hops chased after stale hits (LazyForward).
   [[nodiscard]] std::uint64_t dir_forward_hops() const;
-  /// Slice/hint updates published to shard owners and old hosts.
+  /// DirUpdate messages sent: shard-owner updates after creations and
+  /// migrations, plus restart re-seeding. Forwarding entries and
+  /// self-entries ride on the evict and install instead.
   [[nodiscard]] std::uint64_t dir_updates() const;
   /// Cache entries eagerly invalidated by migrations (EagerInvalidate).
   [[nodiscard]] std::uint64_t dir_invalidations() const;
@@ -357,6 +359,12 @@ public:
       const std::string& name) const {
     return shard_owner(shard_of(name));
   }
+  /// Where `node`'s directory table points `name` (its shard-slice record,
+  /// forwarding entry or self-entry), read with one DirLookup; nullopt when
+  /// it has no entry or is unreachable. Does not touch the lookup caches
+  /// or the dir_* counters.
+  [[nodiscard]] std::optional<std::size_t> directory_entry(
+      std::size_t node, const std::string& name);
 
 private:
   struct Meta {
@@ -486,8 +494,12 @@ private:
   std::size_t resolve_sharded(std::optional<std::size_t> from,
                               const std::string& object,
                               std::optional<std::size_t> stale);
-  /// Announces a migration: slice update at the shard owner, forwarding
-  /// hint at the old host, eager cache invalidation when configured.
+  /// Finishes publishing `name -> dest` after an install at dest (a
+  /// migration from src, or a creation with src == dest). The evict
+  /// already left src's forwarding entry and the install dest's
+  /// self-entry, so only a shard owner that is neither gets an acked
+  /// DirUpdate; caches are eagerly invalidated when configured. Callers
+  /// keep the object in transit until this returns.
   void dir_publish_move(const std::string& name, std::size_t src,
                         std::size_t dest);
   /// Re-seeds a restarted node's shard slice from the central map.

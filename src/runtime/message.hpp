@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <future>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <variant>
@@ -49,20 +50,26 @@ struct MsgInvoke {
 
 /// Installs a (migrated or new) object on the receiving node. Idempotent
 /// per seq: a duplicate install of the same (name, seq) is acknowledged
-/// without rebuilding the object.
+/// without rebuilding the object. With `self_entry` (sharded directory
+/// only) a successful install also records `name -> this node` in the
+/// node's directory table, so the new host needs no separate DirUpdate.
 struct MsgInstall {
   std::string name;
   ObjectState state;
   std::uint64_t seq = 0;
+  bool self_entry = false;
   std::promise<bool> done;
 };
 
 /// Evicts an object: the node linearises it, removes it, and replies with
 /// the state (empty type on failure). Idempotent per seq: a duplicate
-/// evict replies with the state captured by the first delivery.
+/// evict replies with the state captured by the first delivery. With
+/// `forward_to` (sharded directory only) the node also records the
+/// forwarding entry `name -> *forward_to` in its directory table.
 struct MsgEvict {
   std::string name;
   std::uint64_t seq = 0;
+  std::optional<std::uint64_t> forward_to;
   std::promise<ObjectState> state;
 };
 

@@ -46,6 +46,7 @@ std::optional<Frame> serve_on_mailbox(
           msg.name = std::move(body.name);
           msg.state = std::move(body.state);
           msg.seq = body.seq;
+          msg.self_entry = body.self_entry;
           auto reply = msg.done.get_future();
           auto result = push_and_await(
               mailbox, runtime::Message{std::move(msg)}, std::move(reply));
@@ -55,6 +56,7 @@ std::optional<Frame> serve_on_mailbox(
           runtime::MsgEvict msg;
           msg.name = std::move(body.name);
           msg.seq = body.seq;
+          msg.forward_to = body.forward_to;
           auto reply = msg.state.get_future();
           auto result = push_and_await(
               mailbox, runtime::Message{std::move(msg)}, std::move(reply));

@@ -26,6 +26,7 @@ runtime::Message to_message(const WireInstall& w, std::future<bool>* reply) {
   m.name = w.name;
   m.state = w.state;
   m.seq = w.seq;
+  m.self_entry = w.self_entry;
   if (reply) *reply = m.done.get_future();
   return runtime::Message{std::move(m)};
 }
@@ -35,6 +36,7 @@ runtime::Message to_message(const WireEvict& w,
   runtime::MsgEvict m;
   m.name = w.name;
   m.seq = w.seq;
+  m.forward_to = w.forward_to;
   if (reply) *reply = m.state.get_future();
   return runtime::Message{std::move(m)};
 }

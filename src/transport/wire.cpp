@@ -23,6 +23,16 @@ void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
   out.insert(out.end(), s.begin(), s.end());
 }
 
+void put_bool(std::vector<std::uint8_t>& out, bool v) {
+  out.push_back(v ? 1 : 0);
+}
+
+void put_opt_u64(std::vector<std::uint8_t>& out,
+                 const std::optional<std::uint64_t>& v) {
+  put_bool(out, v.has_value());
+  if (v.has_value()) put_u64(out, *v);
+}
+
 void put_state(std::vector<std::uint8_t>& out,
                const runtime::ObjectState& state) {
   // Embedded as a serde blob: the object codec lives in runtime/serde only.
@@ -56,6 +66,25 @@ public:
     std::uint32_t lo = 0, hi = 0;
     if (!read_u32(lo) || !read_u32(hi)) return false;
     out = static_cast<std::uint64_t>(hi) << 32 | lo;
+    return true;
+  }
+
+  /// A flag byte: 0 or 1, anything else is malformed.
+  bool read_bool(bool& out) {
+    std::uint8_t byte = 0;
+    if (!read_u8(byte) || byte > 1) return false;
+    out = byte == 1;
+    return true;
+  }
+
+  bool read_opt_u64(std::optional<std::uint64_t>& out) {
+    bool present = false;
+    if (!read_bool(present)) return false;
+    out.reset();
+    if (!present) return true;
+    std::uint64_t v = 0;
+    if (!read_u64(v)) return false;
+    out = v;
     return true;
   }
 
@@ -139,16 +168,18 @@ std::vector<std::uint8_t> encode_frame(const Frame& frame) {
           put_u64(out, body.seq);
           put_str(out, body.name);
           put_state(out, body.state);
+          put_bool(out, body.self_entry);
         } else if constexpr (std::is_same_v<T, WireEvict>) {
           put_u64(out, body.seq);
           put_str(out, body.name);
+          put_opt_u64(out, body.forward_to);
         } else if constexpr (std::is_same_v<T, WireShutdown>) {
           // no body
         } else if constexpr (std::is_same_v<T, WireInvokeReply>) {
-          out.push_back(body.result.ok ? 1 : 0);
+          put_bool(out, body.result.ok);
           put_str(out, body.result.value);
         } else if constexpr (std::is_same_v<T, WireInstallReply>) {
-          out.push_back(body.ok ? 1 : 0);
+          put_bool(out, body.ok);
         } else if constexpr (std::is_same_v<T, WireEvictReply>) {
           put_state(out, body.state);
         } else if constexpr (std::is_same_v<T, WireDirLookup>) {
@@ -158,12 +189,12 @@ std::vector<std::uint8_t> encode_frame(const Frame& frame) {
           put_u64(out, body.seq);
           put_str(out, body.name);
           put_u64(out, body.node);
-          out.push_back(body.invalidate ? 1 : 0);
+          put_bool(out, body.invalidate);
         } else if constexpr (std::is_same_v<T, WireDirLookupReply>) {
-          out.push_back(body.found ? 1 : 0);
+          put_bool(out, body.found);
           put_u64(out, body.node);
         } else if constexpr (std::is_same_v<T, WireDirUpdateReply>) {
-          out.push_back(body.ok ? 1 : 0);
+          put_bool(out, body.ok);
         }
       },
       frame.payload);
@@ -199,13 +230,14 @@ std::optional<Frame> decode_payload(std::span<const std::uint8_t> payload) {
     case FrameType::Install: {
       WireInstall body;
       ok = reader.read_u64(body.seq) && reader.read_str(body.name) &&
-           reader.read_state(body.state);
+           reader.read_state(body.state) && reader.read_bool(body.self_entry);
       frame.payload = std::move(body);
       break;
     }
     case FrameType::Evict: {
       WireEvict body;
-      ok = reader.read_u64(body.seq) && reader.read_str(body.name);
+      ok = reader.read_u64(body.seq) && reader.read_str(body.name) &&
+           reader.read_opt_u64(body.forward_to);
       frame.payload = std::move(body);
       break;
     }
@@ -216,17 +248,14 @@ std::optional<Frame> decode_payload(std::span<const std::uint8_t> payload) {
     }
     case FrameType::InvokeReply: {
       WireInvokeReply body;
-      std::uint8_t flag = 0;
-      ok = reader.read_u8(flag) && reader.read_str(body.result.value);
-      body.result.ok = flag != 0;
+      ok = reader.read_bool(body.result.ok) &&
+           reader.read_str(body.result.value);
       frame.payload = std::move(body);
       break;
     }
     case FrameType::InstallReply: {
       WireInstallReply body;
-      std::uint8_t flag = 0;
-      ok = reader.read_u8(flag);
-      body.ok = flag != 0;
+      ok = reader.read_bool(body.ok);
       frame.payload = body;
       break;
     }
@@ -244,26 +273,20 @@ std::optional<Frame> decode_payload(std::span<const std::uint8_t> payload) {
     }
     case FrameType::DirUpdate: {
       WireDirUpdate body;
-      std::uint8_t flag = 0;
       ok = reader.read_u64(body.seq) && reader.read_str(body.name) &&
-           reader.read_u64(body.node) && reader.read_u8(flag);
-      body.invalidate = flag != 0;
+           reader.read_u64(body.node) && reader.read_bool(body.invalidate);
       frame.payload = std::move(body);
       break;
     }
     case FrameType::DirLookupReply: {
       WireDirLookupReply body;
-      std::uint8_t flag = 0;
-      ok = reader.read_u8(flag) && reader.read_u64(body.node);
-      body.found = flag != 0;
+      ok = reader.read_bool(body.found) && reader.read_u64(body.node);
       frame.payload = body;
       break;
     }
     case FrameType::DirUpdateReply: {
       WireDirUpdateReply body;
-      std::uint8_t flag = 0;
-      ok = reader.read_u8(flag);
-      body.ok = flag != 0;
+      ok = reader.read_bool(body.ok);
       frame.payload = body;
       break;
     }

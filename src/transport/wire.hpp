@@ -15,10 +15,12 @@
 //
 // Strings use the same u32-length-prefix idiom as runtime/serde, and an
 // embedded ObjectState is carried as a serde blob, so the object codec is
-// written (and validated) exactly once. Decoding follows runtime/serde's
-// strict discipline: truncation, overlong lengths, unknown versions or
-// types, and trailing bytes all reject the frame — decode never reads past
-// the buffer and never throws.
+// written (and validated) exactly once. A bool is one flag byte, 0 or 1;
+// an optional u64 is a flag byte followed by the value only when the flag
+// is 1. Decoding follows runtime/serde's strict discipline: truncation,
+// overlong lengths, flag bytes other than 0/1, unknown versions or types,
+// and trailing bytes all reject the frame — decode never reads past the
+// buffer and never throws.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +34,10 @@
 
 namespace omig::transport {
 
-/// Protocol version stamped into every frame header.
-inline constexpr std::uint8_t kWireVersion = 1;
+/// Protocol version stamped into every frame header. Version 2 added the
+/// piggybacked directory fields (WireEvict::forward_to,
+/// WireInstall::self_entry) and made every flag byte strict (0 or 1).
+inline constexpr std::uint8_t kWireVersion = 2;
 
 /// Upper bound on one frame's payload. A length prefix beyond this is
 /// treated as malformed before any allocation happens, so a corrupt or
@@ -71,6 +75,7 @@ struct WireInstall {
   std::uint64_t seq = 0;
   std::string name;
   runtime::ObjectState state;
+  bool self_entry = false;  ///< runtime::MsgInstall::self_entry
 
   friend bool operator==(const WireInstall&, const WireInstall&) = default;
 };
@@ -78,6 +83,7 @@ struct WireInstall {
 struct WireEvict {
   std::uint64_t seq = 0;
   std::string name;
+  std::optional<std::uint64_t> forward_to;  ///< runtime::MsgEvict::forward_to
 
   friend bool operator==(const WireEvict&, const WireEvict&) = default;
 };

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/presets.hpp"
+#include "param_names.hpp"
 
 namespace omig::core {
 namespace {
@@ -67,7 +68,11 @@ INSTANTIATE_TEST_SUITE_P(Policies, Accounting,
                                            PolicyKind::Conventional,
                                            PolicyKind::Placement,
                                            PolicyKind::CompareNodes,
-                                           PolicyKind::CompareReinstantiate));
+                                           PolicyKind::CompareReinstantiate,
+                                           PolicyKind::LoadShare,
+                                           PolicyKind::Adaptive,
+                                           PolicyKind::AdaptiveLoad),
+                         test::ParamName{});
 
 }  // namespace
 }  // namespace omig::core

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/presets.hpp"
+#include "param_names.hpp"
 #include "sim/random.hpp"
 
 namespace omig::core {
@@ -86,7 +87,8 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(PolicyKind::Sedentary, PolicyKind::Conventional,
                           PolicyKind::Placement, PolicyKind::CompareNodes,
                           PolicyKind::CompareReinstantiate),
-        ::testing::Values(1ull, 99ull, 31337ull)));
+        ::testing::Values(1ull, 99ull, 31337ull)),
+    test::ParamName{});
 
 // ---------------------------------------------------------------------------
 // Two-layer invariants over (policy × transitivity).
@@ -133,7 +135,8 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(PolicyKind::Sedentary, PolicyKind::Conventional,
                           PolicyKind::Placement),
         ::testing::Values(AttachTransitivity::Unrestricted,
-                          AttachTransitivity::ATransitive)));
+                          AttachTransitivity::ATransitive)),
+    test::ParamName{});
 
 // ---------------------------------------------------------------------------
 // Location-scheme invariants: the normalisation ablation must not change
@@ -162,7 +165,8 @@ INSTANTIATE_TEST_SUITE_P(
                       objsys::LocationScheme::NameServer,
                       objsys::LocationScheme::Forwarding,
                       objsys::LocationScheme::Broadcast,
-                      objsys::LocationScheme::ImmediateUpdate));
+                      objsys::LocationScheme::ImmediateUpdate),
+    test::ParamName{});
 
 // ---------------------------------------------------------------------------
 // Seed fuzzing: the paper's invariants must hold for *every* seed, not just

@@ -5,6 +5,7 @@
 #include <tuple>
 
 #include "core/presets.hpp"
+#include "param_names.hpp"
 #include "trace/log.hpp"
 
 namespace omig::core {
@@ -65,7 +66,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllPolicies, TraceInvariants,
     ::testing::Values(PolicyKind::Sedentary, PolicyKind::Conventional,
                       PolicyKind::Placement, PolicyKind::CompareNodes,
-                      PolicyKind::CompareReinstantiate));
+                      PolicyKind::CompareReinstantiate),
+    test::ParamName{});
 
 TEST(TraceInvariantsTwoLayer, PlacementWithAlliances) {
   ExperimentConfig cfg =

@@ -13,6 +13,7 @@
 #include <memory>
 #include <thread>
 
+#include "param_names.hpp"
 #include "runtime/demo_types.hpp"
 #include "runtime/live_system.hpp"
 
@@ -125,11 +126,7 @@ TEST_P(OfficeWorkflow, FixPinsTheLedgerForAudit) {
 INSTANTIATE_TEST_SUITE_P(Backends, OfficeWorkflow,
                          ::testing::Values(TransportKind::InProc,
                                            TransportKind::Tcp),
-                         [](const auto& info) {
-                           return info.param == TransportKind::InProc
-                                      ? "InProc"
-                                      : "Tcp";
-                         });
+                         test::ParamName{});
 
 }  // namespace
 }  // namespace omig::runtime

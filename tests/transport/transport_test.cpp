@@ -10,6 +10,7 @@
 #include <memory>
 #include <string>
 
+#include "param_names.hpp"
 #include "runtime/demo_types.hpp"
 #include "runtime/live_node.hpp"
 #include "runtime/live_system.hpp"
@@ -94,11 +95,7 @@ protected:
 INSTANTIATE_TEST_SUITE_P(Backends, TcpLink,
                          ::testing::Values(TransportKind::Tcp,
                                            TransportKind::AsyncTcp),
-                         [](const auto& info) {
-                           return info.param == TransportKind::AsyncTcp
-                                      ? "AsyncTcp"
-                                      : "Tcp";
-                         });
+                         test::ParamName{});
 
 TEST_P(TcpLink, RequestReplyRoundTrip) {
   ASSERT_TRUE(install("c", runtime::make_state("counter", {{"count", "5"}})));

@@ -22,8 +22,8 @@ runtime::ObjectState sample_state() {
 std::vector<Frame> sample_frames() {
   std::vector<Frame> frames;
   frames.push_back(Frame{7, WireInvoke{42, "case-1", "append", "hello"}});
-  frames.push_back(Frame{8, WireInstall{43, "case-1", sample_state()}});
-  frames.push_back(Frame{9, WireEvict{44, "case-1"}});
+  frames.push_back(Frame{8, WireInstall{43, "case-1", sample_state(), true}});
+  frames.push_back(Frame{9, WireEvict{44, "case-1", 3}});
   frames.push_back(Frame{10, WireShutdown{}});
   frames.push_back(
       Frame{11, WireInvokeReply{runtime::InvokeResult{true, "6"}}});
@@ -145,6 +145,92 @@ TEST(WireCodec, RejectsCorruptEmbeddedState) {
   EXPECT_FALSE(decode_payload(payload).has_value());
 }
 
+// --- version 2: piggybacked directory entries and strict flags --------------
+
+TEST(WireCodecV2, RoundTripsPiggybackedDirectoryFields) {
+  const std::vector<Frame> frames = {
+      Frame{1, WireEvict{5, "obj", std::nullopt}},
+      Frame{2, WireEvict{6, "obj", 0}},
+      Frame{3, WireEvict{7, "obj", ~std::uint64_t{0}}},
+      Frame{4, WireInstall{8, "obj", sample_state(), true}},
+      Frame{5, WireInstall{9, "obj", sample_state(), false}},
+  };
+  for (const Frame& frame : frames) {
+    const auto decoded = decode_payload(payload_of(frame));
+    ASSERT_TRUE(decoded.has_value()) << "corr " << frame.corr;
+    EXPECT_EQ(decoded->payload, frame.payload) << "corr " << frame.corr;
+  }
+}
+
+// Header (10) + seq (8) + u32 name length (4) + "obj" (3): where an
+// evict's forward_to flag byte sits.
+constexpr std::size_t kEvictFlagAt = 25;
+
+TEST(WireCodecV2, RejectsFlagBytesOtherThanZeroOrOne) {
+  struct Case {
+    Frame frame;
+    std::size_t flag_at;  ///< offset of a flag byte in the payload
+  };
+  const std::vector<Case> cases = {
+      {Frame{1, WireEvict{5, "obj", 4}}, kEvictFlagAt},
+      {Frame{1, WireEvict{5, "obj", std::nullopt}}, kEvictFlagAt},
+      {Frame{1, WireInstall{5, "obj", sample_state(), true}}, 0},  // last
+      {Frame{1, WireInvokeReply{runtime::InvokeResult{true, "v"}}}, 10},
+      {Frame{1, WireInstallReply{true}}, 10},
+      {Frame{1, WireDirUpdate{5, "obj", 2, true}}, 0},  // last
+      {Frame{1, WireDirLookupReply{true, 2}}, 10},
+      {Frame{1, WireDirUpdateReply{true}}, 10},
+  };
+  for (const Case& c : cases) {
+    std::vector<std::uint8_t> payload = payload_of(c.frame);
+    const std::size_t at = c.flag_at == 0 ? payload.size() - 1 : c.flag_at;
+    ASSERT_LE(payload[at], 1) << to_string(c.frame.type());
+    for (const std::uint8_t bad : {2, 0x80, 0xFF}) {
+      payload[at] = bad;
+      EXPECT_FALSE(decode_payload(payload).has_value())
+          << to_string(c.frame.type()) << " flag " << int{bad};
+    }
+  }
+}
+
+TEST(WireCodecV2, RejectsTruncationAtEachNewField) {
+  // forward_to set: the flag, then every byte of the u64 is required.
+  const std::vector<std::uint8_t> set =
+      payload_of(Frame{1, WireEvict{5, "obj", 7}});
+  ASSERT_EQ(set.size(), kEvictFlagAt + 1 + 8);
+  for (std::size_t len = kEvictFlagAt; len < set.size(); ++len) {
+    EXPECT_FALSE(decode_payload({set.data(), len}).has_value())
+        << "forward_to truncated to " << len;
+  }
+  // forward_to unset: the flag byte itself is still required.
+  const std::vector<std::uint8_t> unset =
+      payload_of(Frame{1, WireEvict{5, "obj", std::nullopt}});
+  ASSERT_EQ(unset.size(), kEvictFlagAt + 1);
+  EXPECT_FALSE(decode_payload({unset.data(), kEvictFlagAt}).has_value());
+  // self_entry: the install's last byte.
+  const std::vector<std::uint8_t> install =
+      payload_of(Frame{1, WireInstall{5, "obj", sample_state(), true}});
+  EXPECT_FALSE(
+      decode_payload({install.data(), install.size() - 1}).has_value());
+}
+
+TEST(WireCodecV2, RejectsVersionOneFrames) {
+  // A version-1 evict, byte for byte: header, seq, name, and no flag.
+  std::vector<std::uint8_t> v1 = {1, static_cast<std::uint8_t>(FrameType::Evict)};
+  v1.insert(v1.end(), 8, 0);                      // corr
+  v1.insert(v1.end(), {5, 0, 0, 0, 0, 0, 0, 0});  // seq
+  v1.insert(v1.end(), {3, 0, 0, 0, 'o', 'b', 'j'});
+  EXPECT_FALSE(decode_payload(v1).has_value());
+  // Every current frame stamped as version 1 is rejected as well.
+  for (const Frame& frame : sample_frames()) {
+    std::vector<std::uint8_t> payload = payload_of(frame);
+    ASSERT_EQ(payload[0], kWireVersion);
+    payload[0] = 1;
+    EXPECT_FALSE(decode_payload(payload).has_value())
+        << to_string(frame.type());
+  }
+}
+
 TEST(FrameBufferTest, ReassemblesSplitDeliveries) {
   const std::vector<Frame> frames = sample_frames();
   std::vector<std::uint8_t> stream;
@@ -242,7 +328,8 @@ std::vector<Frame> fuzz_corpus() {
     // A couple of bulky states so splits land deep inside payloads.
     runtime::ObjectState big = sample_state();
     big.fields["blob"] = std::string(1024 + 137 * round, 'x');
-    frames.push_back(Frame{corr++, WireInstall{99, "bulk", std::move(big)}});
+    frames.push_back(
+        Frame{corr++, WireInstall{99, "bulk", std::move(big), false}});
   }
   return frames;
 }
