@@ -177,11 +177,16 @@ void LiveNode::handle(MsgInstall& msg) {
       return;
     }
   }
-  objects_[msg.name] = fit->second(msg.name, std::move(msg.state));
+  // A reinstall over a copy still hosted here replaces it in place.
+  auto object = fit->second(msg.name, std::move(msg.state));
+  const bool fresh =
+      objects_.insert_or_assign(msg.name, std::move(object)).second;
   if (msg.seq != 0) installed_seq_[msg.name] = msg.seq;
   if (msg.self_entry) set_dir_entry(msg.name, id_);
-  hosted_.fetch_add(1, std::memory_order_relaxed);
-  obs::node_metrics().hosted_objects->add(1);
+  if (fresh) {
+    hosted_.fetch_add(1, std::memory_order_relaxed);
+    obs::node_metrics().hosted_objects->add(1);
+  }
   msg.done.set_value(true);
 }
 

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <thread>
 #include <unordered_set>
+#include <utility>
 
 #include "obs/families.hpp"
 #include "runtime/serde.hpp"
@@ -84,6 +85,7 @@ void LiveSystem::start() {
     }
   }
   node_down_.assign(count, 0);
+  node_restarts_.assign(count, 0);
   dir_shards_ = options_.dir_shards != 0 ? options_.dir_shards : count;
   if (sharded()) {
     // One lookup cache per origin; the extra slot serves external callers.
@@ -200,7 +202,9 @@ void LiveSystem::recover_from_store() {
     }
     if (install_with_retry(node, name, *state, kExternalSender)) {
       replayed_objects_.fetch_add(1, std::memory_order_relaxed);
-      if (sharded()) dir_publish_move(name, node, node);
+      if (sharded()) {
+        dir_publish_move(name, node, shard_owner(shard_of(name)) == node);
+      }
     }
   }
 }
@@ -347,7 +351,9 @@ bool LiveSystem::create(const std::string& name, ObjectState state,
   }
   // The install left the host's self-entry; seed the shard owner's slice
   // too when another node serves it.
-  if (sharded()) dir_publish_move(name, node, node);
+  if (sharded()) {
+    dir_publish_move(name, node, shard_owner(shard_of(name)) == node);
+  }
   if (store_ != nullptr) {
     // Persist the creation checkpoint; only a fsynced append upgrades the
     // entry to durable (an injected fsync failure leaves it in-memory).
@@ -571,9 +577,7 @@ std::size_t LiveSystem::relocate(const std::vector<std::string>& objects,
       src = directory_.at(name).node;
     }
     if (src == dest) {
-      std::lock_guard lock{mutex_};
-      directory_.at(name).in_transit = false;
-      trace_locked(trace::EventKind::MigrationEnd, name, dest);
+      end_transit(name, dest);
       continue;
     }
 
@@ -600,6 +604,8 @@ std::size_t LiveSystem::relocate(const std::vector<std::string>& objects,
         break;
       }
     }
+    // Only an answered evict is known to have left src's forwarding entry.
+    const bool evict_answered = state.has_value();
 
     if (!state.has_value() || state->type.empty()) {
       // The source is unreachable or lost the object with a crash: recover
@@ -621,20 +627,29 @@ std::size_t LiveSystem::relocate(const std::vector<std::string>& objects,
     auto decoded = decode(wire);
     OMIG_ASSERT(decoded.has_value());
 
+    // Restarts of the install target seen before the install: a later one
+    // skipped this object in its reconciliation, as it was in transit.
+    std::uint64_t target_restarts = 0;
     {
       // The state now in flight becomes the object's recovery checkpoint.
       std::lock_guard lock{mutex_};
       directory_.at(name).checkpoint = *decoded;
+      target_restarts = node_restarts_[dest];
     }
 
     std::size_t target = dest;
-    if (!install_with_retry(dest, name, *decoded, src)) {
+    bool installed = install_with_retry(dest, name, *decoded, src);
+    if (!installed) {
       // Destination died mid-move: put the object back on the source. If
       // that is down too, the directory entry plus checkpoint let restart
       // reconciliation revive it there — the object is never lost. The
       // reinstall's self-entry overwrites the forwarding entry the evict
       // left at the source (its shard slice, when it owns the shard).
-      install_with_retry(src, name, *decoded, dest);
+      {
+        std::lock_guard lock{mutex_};
+        target_restarts = node_restarts_[src];
+      }
+      installed = install_with_retry(src, name, *decoded, dest);
       target = src;
     }
 
@@ -643,17 +658,23 @@ std::size_t LiveSystem::relocate(const std::vector<std::string>& objects,
       std::lock_guard lock{mutex_};
       Meta& meta = directory_.at(name);
       meta.node = target;
+      meta.host_restarted = node_restarts_[target] != target_restarts;
       if (target != src) cursor = ++meta.moves;
     }
     // The owner update is acked before the transit ends, so the next move
     // of this object cannot overtake it: updates for one object reach the
     // owner in order, and its slice never names a node the object left.
-    if (sharded()) dir_publish_move(name, src, target);
-    {
-      std::lock_guard lock{mutex_};
-      directory_.at(name).in_transit = false;
-      trace_locked(trace::EventKind::MigrationEnd, name, target);
+    if (sharded()) {
+      // The owner already holds `name -> target` if it is the target and
+      // acked the install, or it is the source, answered the evict, and
+      // the object left it.
+      const std::size_t owner = shard_owner(shard_of(name));
+      const bool owner_written =
+          (owner == target && installed) ||
+          (owner == src && target != src && evict_answered);
+      dir_publish_move(name, target, owner_written);
     }
+    end_transit(name, target);
     if (store_ != nullptr && target != src) {
       // Log the location change, then checkpoint the in-flight state under
       // the new home — both fsynced before relocate() acks the migration,
@@ -966,8 +987,10 @@ void LiveSystem::restart_node(std::size_t node) {
   }
   transport_->on_node_restart(node);
   // Reconcile the directory with the freshly-empty node: reinstall every
-  // object placed there from its checkpoint. In-transit objects are
-  // skipped — their migration is in progress and settles them itself.
+  // object placed there from its checkpoint, holding it in transit so no
+  // migration evicts it before the reinstall lands. In-transit objects are
+  // skipped — their migration is in progress, and end_transit() reinstalls
+  // them if they end up here.
   struct Restore {
     std::string name;
     ObjectState state;
@@ -977,10 +1000,15 @@ void LiveSystem::restart_node(std::size_t node) {
   {
     std::lock_guard lock{mutex_};
     node_down_[node] = 0;
-    for (const auto& [name, meta] : directory_) {
-      if (meta.node == node && !meta.in_transit) {
-        to_restore.push_back({name, meta.checkpoint, meta.durable});
+    ++node_restarts_[node];
+    for (auto& [name, meta] : directory_) {
+      if (meta.node != node) continue;
+      if (meta.in_transit) {
+        meta.host_restarted = true;
+        continue;
       }
+      meta.in_transit = true;
+      to_restore.push_back({name, meta.checkpoint, meta.durable});
     }
   }
   // Each reinstall records its own self-entry (sharded directory).
@@ -994,6 +1022,11 @@ void LiveSystem::restart_node(std::size_t node) {
         durable_recoveries_.fetch_add(1, std::memory_order_relaxed);
       }
     }
+    {
+      std::lock_guard lock{mutex_};
+      directory_.at(name).in_transit = false;
+    }
+    transit_cv_.notify_all();
   }
   // The fresh node serves an empty directory slice; rebuild it from the
   // central map.
@@ -1152,15 +1185,14 @@ std::size_t LiveSystem::resolve_sharded(std::optional<std::size_t> from,
   return finish(node);
 }
 
-void LiveSystem::dir_publish_move(const std::string& name, std::size_t src,
-                                  std::size_t dest) {
-  // The evict wrote src's entry and the install dest's, so a shard owner
-  // among them already holds `name -> dest`. A crashed owner is skipped:
-  // the central map already names dest, and its restart re-seeds the
-  // slice from there.
+void LiveSystem::dir_publish_move(const std::string& name, std::size_t host,
+                                  bool owner_written) {
+  // A crashed owner is skipped: the central map already names host, and
+  // its restart re-seeds the slice from there (or marks the object for
+  // end_transit() to republish).
   const std::size_t owner = shard_owner(shard_of(name));
-  if (owner != src && owner != dest && node_up(owner)) {
-    (void)dir_update(owner, name, dest, false);
+  if (!owner_written && node_up(owner)) {
+    (void)dir_update(owner, name, host, false);
   }
   if (options_.dir_strategy == objsys::ConsistencyStrategy::EagerInvalidate) {
     for (auto& cache : caches_) {
@@ -1172,18 +1204,59 @@ void LiveSystem::dir_publish_move(const std::string& name, std::size_t src,
   }
 }
 
+void LiveSystem::end_transit(const std::string& name, std::size_t host) {
+  for (;;) {
+    bool reinstall = false;
+    ObjectState state;
+    {
+      std::lock_guard lock{mutex_};
+      Meta& meta = directory_.at(name);
+      if (!meta.host_restarted && !meta.owner_restarted) {
+        meta.in_transit = false;
+        trace_locked(trace::EventKind::MigrationEnd, name, host);
+        return;
+      }
+      reinstall = std::exchange(meta.host_restarted, false);
+      meta.owner_restarted = false;
+      if (reinstall) state = meta.checkpoint;
+    }
+    // The host restarted after the object reached it, or the owner re-seeded
+    // its slice while the object was on its way: restore the object from
+    // its checkpoint (no invoke ran on it in transit) and republish.
+    if (reinstall && install_with_retry(host, name, state, kExternalSender)) {
+      recoveries_.fetch_add(1, std::memory_order_relaxed);
+      obs::runtime_metrics().recoveries->inc();
+    }
+    if (sharded()) dir_publish_move(name, host, false);
+  }
+}
+
 void LiveSystem::dir_reseed_node(std::size_t node) {
-  std::vector<std::pair<std::string, std::size_t>> slice;
+  std::vector<std::string> slice;
   {
     std::lock_guard lock{mutex_};
     for (const auto& [name, meta] : directory_) {
-      if (shard_owner(shard_of(name)) == node) {
-        slice.emplace_back(name, meta.node);
-      }
+      if (shard_owner(shard_of(name)) == node) slice.push_back(name);
     }
   }
-  for (const auto& [name, host] : slice) {
+  for (const std::string& name : slice) {
+    std::size_t host = 0;
+    {
+      std::lock_guard lock{mutex_};
+      Meta& meta = directory_.at(name);
+      if (meta.in_transit) {
+        meta.owner_restarted = true;
+        continue;
+      }
+      meta.in_transit = true;
+      host = meta.node;
+    }
     (void)dir_update(node, name, host, false);
+    {
+      std::lock_guard lock{mutex_};
+      directory_.at(name).in_transit = false;
+    }
+    transit_cv_.notify_all();
   }
 }
 

@@ -385,6 +385,12 @@ private:
     /// append or a recovery replay — so restart reconciliation counts its
     /// reinstall as a durable recovery, not just an in-memory one.
     bool durable = false;
+    /// Set while in transit when restart reconciliation had to skip the
+    /// object: its host restarted (so the object may be gone from there),
+    /// or its shard owner re-seeded its slice without it. end_transit()
+    /// reinstalls or republishes before the transit ends.
+    bool host_restarted = false;
+    bool owner_restarted = false;
   };
 
   struct AttachEdge {
@@ -494,15 +500,23 @@ private:
   std::size_t resolve_sharded(std::optional<std::size_t> from,
                               const std::string& object,
                               std::optional<std::size_t> stale);
-  /// Finishes publishing `name -> dest` after an install at dest (a
-  /// migration from src, or a creation with src == dest). The evict
-  /// already left src's forwarding entry and the install dest's
-  /// self-entry, so only a shard owner that is neither gets an acked
-  /// DirUpdate; caches are eagerly invalidated when configured. Callers
-  /// keep the object in transit until this returns.
-  void dir_publish_move(const std::string& name, std::size_t src,
-                        std::size_t dest);
-  /// Re-seeds a restarted node's shard slice from the central map.
+  /// Finishes publishing `name -> host` after an install at host (a
+  /// migration, or a creation). The evict leaves the source's forwarding
+  /// entry and the install the host's self-entry; `owner_written` says
+  /// that one of them is known to have reached the shard owner. Otherwise
+  /// the owner gets an acked DirUpdate. Caches are eagerly invalidated
+  /// when configured. Callers keep the object in transit until this
+  /// returns.
+  void dir_publish_move(const std::string& name, std::size_t host,
+                        bool owner_written);
+  /// Ends the transit of `name`, now at `host`, after repairing what a
+  /// restart during the transit skipped (Meta::host_restarted,
+  /// Meta::owner_restarted).
+  void end_transit(const std::string& name, std::size_t host);
+  /// Re-seeds a restarted node's shard slice from the central map. Each
+  /// entry is written while the object is held in transit, so no
+  /// migration's owner update can be overtaken by a stale re-seed; objects
+  /// already in transit are left to their migration.
   void dir_reseed_node(std::size_t node);
 
   /// Rebuilds the directory from the recovered store and reinstalls every
@@ -519,6 +533,7 @@ private:
   std::unordered_map<std::string, Meta> directory_;
   std::unordered_map<std::string, std::vector<AttachEdge>> attachments_;
   std::vector<char> node_down_;  ///< guarded by mutex_
+  std::vector<std::uint64_t> node_restarts_;  ///< per node; guarded by mutex_
   std::uint64_t next_token_ = 1;
   std::unordered_map<std::string, std::uint64_t> object_ids_;  ///< trace ids
   std::uint64_t next_object_id_ = 0;  ///< guarded by mutex_
