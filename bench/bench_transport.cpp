@@ -242,10 +242,12 @@ LadderResult run_ladder(const std::string& backend, std::uint16_t port,
   auto factories = omig::runtime::demo_factories();
   omig::runtime::LiveNode node(0, &factories);
   node.start();
-  omig::transport::NodeServer server([&node](omig::transport::Frame frame) {
-    return omig::transport::serve_on_mailbox(node.mailbox(),
-                                             std::move(frame));
-  });
+  omig::transport::NodeServer server(
+      [&node](omig::transport::Frame frame,
+              omig::transport::NodeServer::Responder respond) {
+        omig::transport::serve_on_mailbox(node.mailbox(), std::move(frame),
+                                          std::move(respond));
+      });
   const std::uint16_t port = server.start();
   (void)!write(port_fd, &port, sizeof(port));
   close(port_fd);

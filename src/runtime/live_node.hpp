@@ -24,9 +24,10 @@ namespace omig::runtime {
 /// Lifecycle: start() → [crash() → restart()]* → stop(). start() and
 /// stop() are idempotent and safe to call from multiple threads. crash()
 /// models a node failure: the event loop dies, queued messages are
-/// destroyed undelivered (their promises break) and all hosted objects are
-/// lost; restart() brings the node back empty — the system layer
-/// reconciles the directory and reinstalls objects from checkpoints.
+/// destroyed unanswered (a promise reply breaks, a callback reply never
+/// runs) and all hosted objects are lost; restart() brings the node back
+/// empty — the system layer reconciles the directory and reinstalls
+/// objects from checkpoints.
 class LiveNode {
 public:
   LiveNode(std::size_t id,

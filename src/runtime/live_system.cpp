@@ -123,13 +123,13 @@ void LiveSystem::start() {
       servers_.reserve(count);
       for (std::size_t i = 0; i < count; ++i) {
         Mailbox<Message>& box = nodes_[i]->mailbox();
-        // One handler strand per server: the node's mailbox serialises
-        // request execution anyway, so extra strands buy nothing here.
         servers_.push_back(std::make_unique<transport::NodeServer>(
-            [&box](transport::Frame frame) {
-              return transport::serve_on_mailbox(box, std::move(frame));
+            [&box](transport::Frame frame,
+                   transport::NodeServer::Responder respond) {
+              transport::serve_on_mailbox(box, std::move(frame),
+                                          std::move(respond));
             },
-            net_loop_.get(), /*handler_threads=*/1));
+            net_loop_.get()));
         const std::uint16_t port = servers_.back()->start();
         OMIG_REQUIRE(port != 0, "could not bind a loopback listener");
         peers.push_back(transport::Peer{"127.0.0.1", port});
@@ -218,8 +218,8 @@ void LiveSystem::stop() {
   fault_cv_.notify_all();
   if (fault_thread_.joinable()) fault_thread_.join();
   for (auto& node : nodes_) node->stop();
-  // Servers after nodes: any handler still awaiting a reply gets its
-  // promise broken by the node teardown and unblocks immediately.
+  // Servers after nodes: the requests a node drains on stop() can still
+  // send their replies; any completed later are dropped by the server.
   for (auto& server : servers_) server->stop();
   // Final compaction: fold the WAL into one snapshot so the next start()
   // recovers from a single file. Best-effort — a dead store skips it.
@@ -291,6 +291,12 @@ std::optional<T> LiveSystem::await_reply(std::future<T>& reply) {
   }
 }
 
+void LiveSystem::retry(int attempt) {
+  retries_.fetch_add(1, std::memory_order_relaxed);
+  obs::runtime_metrics().retries->inc();
+  backoff(attempt);
+}
+
 void LiveSystem::backoff(int attempt) {
   if (options_.retry_backoff.count() <= 0) return;
   const int shift = std::min(attempt - 1, 6);
@@ -314,11 +320,7 @@ bool LiveSystem::install_with_retry(std::size_t node, const std::string& name,
   // chases that reach it terminate without a separate DirUpdate.
   msg.self_entry = sharded();
   for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-    if (attempt > 0) {
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      obs::runtime_metrics().retries->inc();
-      backoff(attempt);
-    }
+    if (attempt > 0) retry(attempt);
     std::future<bool> done;
     if (!sent_ok(transport_->send_install(from, node, msg, done))) {
       continue;  // node is down; it may restart within the retry budget
@@ -452,10 +454,7 @@ InvokeResult LiveSystem::invoke_impl(std::optional<std::size_t> from,
     msg.argument = argument;
     std::optional<InvokeResult> result;
     for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-      if (attempt > 0) {
-        retries_.fetch_add(1, std::memory_order_relaxed);
-        backoff(attempt);
-      }
+      if (attempt > 0) retry(attempt);
       std::future<InvokeResult> reply;
       if (!sent_ok(transport_->send_invoke(from.value_or(kExternalSender),
                                            node, msg, reply))) {
@@ -590,10 +589,7 @@ std::size_t LiveSystem::relocate(const std::vector<std::string>& objects,
     // The source records its forwarding entry as it gives the object up.
     if (sharded()) evict.forward_to = static_cast<std::uint64_t>(dest);
     for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-      if (attempt > 0) {
-        retries_.fetch_add(1, std::memory_order_relaxed);
-        backoff(attempt);
-      }
+      if (attempt > 0) retry(attempt);
       std::future<ObjectState> state_future;
       if (!sent_ok(transport_->send_evict(dest, src, evict, state_future))) {
         break;
@@ -1056,10 +1052,7 @@ bool LiveSystem::dir_update(std::size_t target, const std::string& name,
   msg.node = static_cast<std::uint64_t>(node);
   msg.invalidate = invalidate;
   for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-    if (attempt > 0) {
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      backoff(attempt);
-    }
+    if (attempt > 0) retry(attempt);
     std::future<DirAck> done;
     if (!sent_ok(transport_->send_dir_update(kExternalSender, target, msg,
                                              done))) {
@@ -1078,10 +1071,7 @@ std::optional<DirReply> LiveSystem::dir_lookup(std::size_t from,
   msg.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   msg.name = name;
   for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-    if (attempt > 0) {
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      backoff(attempt);
-    }
+    if (attempt > 0) retry(attempt);
     std::future<DirReply> reply;
     if (!sent_ok(transport_->send_dir_lookup(from, target, msg, reply))) {
       continue;

@@ -428,6 +428,9 @@ private:
 
   /// Sleeps the exponential-backoff delay for retry `attempt` (>= 1).
   void backoff(int attempt);
+  /// Every retransmission goes through here: counts it in retries() and
+  /// omig_runtime_retries_total, then backs off.
+  void retry(int attempt);
 
   /// Installs `state` as `name` on `node` with bounded retries under one
   /// sequence number. Returns false if the node stayed unreachable.

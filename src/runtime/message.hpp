@@ -8,13 +8,54 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <variant>
 
 namespace omig::runtime {
+
+/// One-shot reply channel of a request message, written by the node thread
+/// that handles it.
+///
+/// Default-constructed it is a promise: the sender awaits get_future(),
+/// and destroying the message unanswered (a crash discarding the mailbox,
+/// a rejected push) breaks that future. Constructed from a callback it
+/// has no future: set_value() runs the callback on the setting thread —
+/// how a request that arrived over the wire sends its reply frame without
+/// a thread parked on a future — and destroying it unanswered sends
+/// nothing. Either way a second set_value() throws
+/// std::future_errc::promise_already_satisfied.
+template <class T>
+class Reply {
+public:
+  using Callback = std::function<void(T)>;
+
+  Reply() = default;
+  explicit Reply(Callback on_value)
+      : channel_{std::in_place_index<1>, std::move(on_value)} {}
+
+  /// Promise mode only (std::bad_variant_access on a callback reply).
+  std::future<T> get_future() { return std::get<0>(channel_).get_future(); }
+
+  void set_value(T value) {
+    if (auto* promise = std::get_if<0>(&channel_)) {
+      promise->set_value(std::move(value));
+      return;
+    }
+    Callback on_value = std::exchange(std::get<1>(channel_), nullptr);
+    if (!on_value) {
+      throw std::future_error{std::future_errc::promise_already_satisfied};
+    }
+    on_value(std::move(value));
+  }
+
+private:
+  std::variant<std::promise<T>, Callback> channel_;
+};
 
 /// Linearised object: its type tag plus a string property bag. The type tag
 /// selects the factory that rebuilds behaviour at the destination node.
@@ -33,7 +74,7 @@ struct InvokeResult {
   friend bool operator==(const InvokeResult&, const InvokeResult&) = default;
 };
 
-/// Synchronous method invocation, replied to via the promise.
+/// Synchronous method invocation, answered through `reply`.
 ///
 /// `seq` identifies the logical request: a retransmission (after a lost
 /// message or a crashed node) reuses the seq of the original, and the
@@ -45,7 +86,7 @@ struct MsgInvoke {
   std::string method;
   std::string argument;
   std::uint64_t seq = 0;
-  std::promise<InvokeResult> reply;
+  Reply<InvokeResult> reply;
 };
 
 /// Installs a (migrated or new) object on the receiving node. Idempotent
@@ -58,7 +99,7 @@ struct MsgInstall {
   ObjectState state;
   std::uint64_t seq = 0;
   bool self_entry = false;
-  std::promise<bool> done;
+  Reply<bool> done;
 };
 
 /// Evicts an object: the node linearises it, removes it, and replies with
@@ -70,7 +111,7 @@ struct MsgEvict {
   std::string name;
   std::uint64_t seq = 0;
   std::optional<std::uint64_t> forward_to;
-  std::promise<ObjectState> state;
+  Reply<ObjectState> state;
 };
 
 /// Answer to a directory lookup: whether this node has an entry for the
@@ -96,7 +137,7 @@ struct DirAck {
 struct MsgDirLookup {
   std::string name;
   std::uint64_t seq = 0;
-  std::promise<DirReply> reply;
+  Reply<DirReply> reply;
 };
 
 /// Installs (or, with `invalidate`, drops) this node's directory entry for
@@ -106,7 +147,7 @@ struct MsgDirUpdate {
   std::uint64_t node = 0;
   bool invalidate = false;
   std::uint64_t seq = 0;
-  std::promise<DirAck> done;
+  Reply<DirAck> done;
 };
 
 /// Stops the node's event loop.

@@ -1,93 +1,65 @@
 #include "transport/bridge.hpp"
 
-#include <future>
-
 namespace omig::transport {
 
 namespace {
 
-/// Pushes `message` and waits for its reply value. nullopt when the push
-/// was rejected or the promise broke (node crashed mid-processing).
-template <class T>
-std::optional<T> push_and_await(runtime::Mailbox<runtime::Message>& mailbox,
-                                runtime::Message message,
-                                std::future<T> reply) {
-  if (mailbox.push(std::move(message)) != runtime::PushStatus::Ok) {
-    return std::nullopt;
-  }
-  try {
-    return reply.get();
-  } catch (const std::future_error&) {
-    return std::nullopt;  // discarded by a crash before processing
-  }
+/// A callback reply channel that answers request `corr` with the frame
+/// `to_wire` builds from the node's reply value.
+template <class T, class ToWire>
+runtime::Reply<T> reply_frame(NodeServer::Responder respond,
+                              std::uint64_t corr, ToWire to_wire) {
+  return runtime::Reply<T>{
+      [respond = std::move(respond), corr, to_wire](T value) {
+        respond.send(Frame{corr, to_wire(std::move(value))});
+      }};
 }
 
 }  // namespace
 
-std::optional<Frame> serve_on_mailbox(
-    runtime::Mailbox<runtime::Message>& mailbox, Frame request) {
+void serve_on_mailbox(runtime::Mailbox<runtime::Message>& mailbox,
+                      Frame request, NodeServer::Responder respond) {
   const std::uint64_t corr = request.corr;
-  return std::visit(
-      [&](auto& body) -> std::optional<Frame> {
+  std::visit(
+      [&](auto& body) {
         using T = std::decay_t<decltype(body)>;
         if constexpr (std::is_same_v<T, WireInvoke>) {
-          runtime::MsgInvoke msg;
-          msg.object = std::move(body.object);
-          msg.method = std::move(body.method);
-          msg.argument = std::move(body.argument);
-          msg.seq = body.seq;
-          auto reply = msg.reply.get_future();
-          auto result = push_and_await(
-              mailbox, runtime::Message{std::move(msg)}, std::move(reply));
-          if (!result.has_value()) return std::nullopt;
-          return Frame{corr, WireInvokeReply{std::move(*result)}};
+          (void)mailbox.push(to_message(
+              std::move(body),
+              reply_frame<runtime::InvokeResult>(
+                  std::move(respond), corr, [](runtime::InvokeResult r) {
+                    return WireInvokeReply{std::move(r)};
+                  })));
         } else if constexpr (std::is_same_v<T, WireInstall>) {
-          runtime::MsgInstall msg;
-          msg.name = std::move(body.name);
-          msg.state = std::move(body.state);
-          msg.seq = body.seq;
-          msg.self_entry = body.self_entry;
-          auto reply = msg.done.get_future();
-          auto result = push_and_await(
-              mailbox, runtime::Message{std::move(msg)}, std::move(reply));
-          if (!result.has_value()) return std::nullopt;
-          return Frame{corr, WireInstallReply{*result}};
+          (void)mailbox.push(to_message(
+              std::move(body),
+              reply_frame<bool>(std::move(respond), corr,
+                                [](bool ok) { return WireInstallReply{ok}; })));
         } else if constexpr (std::is_same_v<T, WireEvict>) {
-          runtime::MsgEvict msg;
-          msg.name = std::move(body.name);
-          msg.seq = body.seq;
-          msg.forward_to = body.forward_to;
-          auto reply = msg.state.get_future();
-          auto result = push_and_await(
-              mailbox, runtime::Message{std::move(msg)}, std::move(reply));
-          if (!result.has_value()) return std::nullopt;
-          return Frame{corr, WireEvictReply{std::move(*result)}};
+          (void)mailbox.push(to_message(
+              std::move(body),
+              reply_frame<runtime::ObjectState>(
+                  std::move(respond), corr, [](runtime::ObjectState s) {
+                    return WireEvictReply{std::move(s)};
+                  })));
         } else if constexpr (std::is_same_v<T, WireDirLookup>) {
-          runtime::MsgDirLookup msg;
-          msg.name = std::move(body.name);
-          msg.seq = body.seq;
-          auto reply = msg.reply.get_future();
-          auto result = push_and_await(
-              mailbox, runtime::Message{std::move(msg)}, std::move(reply));
-          if (!result.has_value()) return std::nullopt;
-          return Frame{corr, WireDirLookupReply{result->found, result->node}};
+          (void)mailbox.push(to_message(
+              std::move(body),
+              reply_frame<runtime::DirReply>(
+                  std::move(respond), corr, [](runtime::DirReply r) {
+                    return WireDirLookupReply{r.found, r.node};
+                  })));
         } else if constexpr (std::is_same_v<T, WireDirUpdate>) {
-          runtime::MsgDirUpdate msg;
-          msg.name = std::move(body.name);
-          msg.node = body.node;
-          msg.invalidate = body.invalidate;
-          msg.seq = body.seq;
-          auto reply = msg.done.get_future();
-          auto result = push_and_await(
-              mailbox, runtime::Message{std::move(msg)}, std::move(reply));
-          if (!result.has_value()) return std::nullopt;
-          return Frame{corr, WireDirUpdateReply{result->ok}};
+          (void)mailbox.push(to_message(
+              std::move(body),
+              reply_frame<runtime::DirAck>(
+                  std::move(respond), corr, [](runtime::DirAck a) {
+                    return WireDirUpdateReply{a.ok};
+                  })));
         } else if constexpr (std::is_same_v<T, WireShutdown>) {
           (void)mailbox.push(runtime::Message{runtime::MsgStop{}});
-          return std::nullopt;
-        } else {
-          return std::nullopt;  // a reply frame sent to a server: ignore
         }
+        // Anything else is a reply frame sent to a server: ignore it.
       },
       request.payload);
 }

@@ -1,27 +1,29 @@
 // Bridges wire frames onto a live node's mailbox.
 //
 // The server side of the TCP backend: a request frame is rebuilt into the
-// promise-carrying runtime::Message the node loop already understands,
-// pushed into the mailbox, and the awaited promise value is marshalled
-// back as the reply frame quoting the request's correlation ID. Node
-// semantics — at-most-once dedup, reply caches, crash behaviour — stay in
-// LiveNode; the bridge only translates.
+// runtime::Message the node loop already understands, with a callback
+// reply channel in place of a promise, and pushed into the mailbox. The
+// call returns at once; when the node thread answers, the callback
+// marshals the value into the reply frame quoting the request's
+// correlation ID and hands it to the Responder. Node semantics —
+// at-most-once dedup, reply caches, crash behaviour — stay in LiveNode;
+// the bridge only translates.
 #pragma once
-
-#include <optional>
 
 #include "runtime/mailbox.hpp"
 #include "runtime/message.hpp"
+#include "transport/node_server.hpp"
 #include "transport/wire.hpp"
 
 namespace omig::transport {
 
-/// Serves one request frame against `mailbox`. Returns the reply frame, or
-/// nullopt when there is nothing to send back: a rejected push (mailbox
-/// closed), a promise broken by a crash mid-processing, a fire-and-forget
-/// Shutdown, or a nonsensical frame (a reply sent to a server). The
-/// caller's loss signal in all of those cases is the connection reset.
-[[nodiscard]] std::optional<Frame> serve_on_mailbox(
-    runtime::Mailbox<runtime::Message>& mailbox, Frame request);
+/// Pushes one request frame into `mailbox` without waiting; `respond`
+/// later receives the reply frame from the node thread. Nothing is sent
+/// for a rejected push (mailbox closed), a message discarded by a crash,
+/// a fire-and-forget Shutdown, or a nonsensical frame (a reply sent to a
+/// server) — the caller's loss signal in those cases is the connection
+/// reset.
+void serve_on_mailbox(runtime::Mailbox<runtime::Message>& mailbox,
+                      Frame request, NodeServer::Responder respond);
 
 }  // namespace omig::transport

@@ -1,6 +1,5 @@
 #include "transport/node_server.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "obs/families.hpp"
@@ -9,11 +8,8 @@
 
 namespace omig::transport {
 
-NodeServer::NodeServer(Handler handler, net::EventLoop* loop,
-                       int handler_threads)
-    : handler_{std::move(handler)},
-      external_loop_{loop},
-      handler_threads_{std::max(1, handler_threads)} {
+NodeServer::NodeServer(Handler handler, net::EventLoop* loop)
+    : handler_{std::move(handler)}, external_loop_{loop} {
   OMIG_REQUIRE(handler_ != nullptr, "server needs a handler");
 }
 
@@ -41,13 +37,10 @@ std::uint16_t NodeServer::start(std::uint16_t port, const std::string& host) {
     owned_loop_->start();
     loop_ = owned_loop_.get();
   }
-  strands_.clear();
-  for (int i = 0; i < handler_threads_; ++i) {
-    auto strand = std::make_unique<Strand>();
-    Strand* raw = strand.get();
-    strand->thread = std::thread{[this, raw] { strand_worker(*raw); }};
-    strands_.push_back(std::move(strand));
-  }
+  // A fresh route per cycle: Responders of an earlier cycle stay disarmed.
+  route_ = std::make_shared<Route>();
+  route_->server = this;
+  route_->loop = loop_;
   loop_->post([this, fd] { loop_->spawn(accept_task(this, fd)); });
   return port_;
 }
@@ -56,21 +49,14 @@ void NodeServer::stop() {
   std::lock_guard lock{mutex_};
   if (listener_fd_ < 0) return;  // already stopped: idempotent
   stopping_.store(true, std::memory_order_release);
-  // Strands first: in-flight handlers finish, queued frames are dropped,
-  // and after the joins no strand can post replies any more — so the
-  // teardown task below (FIFO after any reply post) sees the last of them.
-  for (auto& strand : strands_) {
-    {
-      std::lock_guard strand_lock{strand->mutex};
-      strand->stop = true;
-    }
-    strand->cv.notify_all();
+  // Disarm first: a reply completed from here on is dropped by its
+  // Responder, and one posted before is dropped when it reaches the loop,
+  // so nothing can reach this server (or an owned loop) after stop().
+  {
+    std::lock_guard route_lock{route_->mutex};
+    route_->server = nullptr;
+    route_->loop = nullptr;
   }
-  for (auto& strand : strands_) {
-    if (strand->thread.joinable()) strand->thread.join();
-  }
-  // strands_ stays populated until the teardown below quiesced the reader
-  // coroutines — they push into the strand queues without mutex_.
   const int listener = listener_fd_;
   if (loop_->running()) {
     std::promise<void> done;
@@ -82,7 +68,6 @@ void NodeServer::stop() {
   } else {
     tcp_close(listener);  // external loop died first; just free the fd
   }
-  strands_.clear();
   listener_fd_ = -1;
   if (owned_loop_) {
     owned_loop_->stop();
@@ -138,14 +123,7 @@ sim::Task NodeServer::reader_task(NodeServer* s, std::shared_ptr<Conn> conn) {
     obs::node_metrics().server_bytes_in->inc(static_cast<std::uint64_t>(n));
     frames.feed({s->read_scratch_.data(), static_cast<std::size_t>(n)});
     while (auto frame = frames.next()) {
-      // Pin the connection to one strand: per-connection frame order is
-      // the contract (it mirrors the node's mailbox sequencing).
-      Strand& strand = *s->strands_[conn->id % s->strands_.size()];
-      {
-        std::lock_guard lock{strand.mutex};
-        strand.queue.emplace_back(conn->id, std::move(*frame));
-      }
-      strand.cv.notify_one();
+      s->handler_(std::move(*frame), Responder{s->route_, conn->id});
     }
     if (frames.error()) {  // malformed stream: drop the connection
       s->close_conn(*conn);
@@ -199,24 +177,20 @@ sim::Task NodeServer::teardown_task(NodeServer* s, int listener,
   done->set_value();
 }
 
-void NodeServer::strand_worker(Strand& strand) {
-  for (;;) {
-    std::pair<std::uint64_t, Frame> work{0, Frame{}};
-    {
-      std::unique_lock lock{strand.mutex};
-      strand.cv.wait(lock,
-                     [&strand] { return strand.stop || !strand.queue.empty(); });
-      if (strand.stop) return;  // queued frames are dropped, like unread bytes
-      work = std::move(strand.queue.front());
-      strand.queue.pop_front();
-    }
-    std::optional<Frame> reply = handler_(std::move(work.second));
-    if (!reply.has_value()) continue;
-    std::vector<std::uint8_t> bytes = encode_frame(*reply);
-    loop_->post([this, conn_id = work.first, bytes = std::move(bytes)]() mutable {
-      queue_reply_on_loop(conn_id, std::move(bytes));
-    });
+void NodeServer::Responder::send(const Frame& reply) const {
+  std::vector<std::uint8_t> bytes = encode_frame(reply);
+  std::lock_guard lock{route_->mutex};
+  if (route_->server == nullptr) return;  // stopped: stale reply
+  if (route_->loop->on_loop_thread()) {
+    route_->server->queue_reply_on_loop(conn_id_, std::move(bytes));
+    return;
   }
+  route_->loop->post(
+      [route = route_, conn_id = conn_id_, bytes = std::move(bytes)]() mutable {
+        std::lock_guard lock{route->mutex};
+        if (route->server == nullptr) return;  // stop() ran since the post
+        route->server->queue_reply_on_loop(conn_id, std::move(bytes));
+      });
 }
 
 void NodeServer::queue_reply_on_loop(std::uint64_t conn_id,

@@ -7,58 +7,14 @@ namespace omig::transport {
 
 namespace {
 
-/// Rebuilds the promise-carrying runtime message for a wire request. With
-/// `reply` null the message's reply channel is deliberately unawaited —
-/// that is how injected duplicates travel.
-runtime::Message to_message(const WireInvoke& w,
-                            std::future<runtime::InvokeResult>* reply) {
-  runtime::MsgInvoke m;
-  m.object = w.object;
-  m.method = w.method;
-  m.argument = w.argument;
-  m.seq = w.seq;
-  if (reply) *reply = m.reply.get_future();
-  return runtime::Message{std::move(m)};
-}
-
-runtime::Message to_message(const WireInstall& w, std::future<bool>* reply) {
-  runtime::MsgInstall m;
-  m.name = w.name;
-  m.state = w.state;
-  m.seq = w.seq;
-  m.self_entry = w.self_entry;
-  if (reply) *reply = m.done.get_future();
-  return runtime::Message{std::move(m)};
-}
-
-runtime::Message to_message(const WireEvict& w,
-                            std::future<runtime::ObjectState>* reply) {
-  runtime::MsgEvict m;
-  m.name = w.name;
-  m.seq = w.seq;
-  m.forward_to = w.forward_to;
-  if (reply) *reply = m.state.get_future();
-  return runtime::Message{std::move(m)};
-}
-
-runtime::Message to_message(const WireDirLookup& w,
-                            std::future<runtime::DirReply>* reply) {
-  runtime::MsgDirLookup m;
-  m.name = w.name;
-  m.seq = w.seq;
-  if (reply) *reply = m.reply.get_future();
-  return runtime::Message{std::move(m)};
-}
-
-runtime::Message to_message(const WireDirUpdate& w,
-                            std::future<runtime::DirAck>* reply) {
-  runtime::MsgDirUpdate m;
-  m.name = w.name;
-  m.node = w.node;
-  m.invalidate = w.invalidate;
-  m.seq = w.seq;
-  if (reply) *reply = m.done.get_future();
-  return runtime::Message{std::move(m)};
+/// Rebuilds the runtime message for a wire request with a promise reply
+/// whose future lands in `reply`. With `reply` null the promise is
+/// deliberately unawaited — that is how injected duplicates travel.
+template <class WireT, class T>
+runtime::Message promise_message(const WireT& w, std::future<T>* reply) {
+  runtime::Reply<T> channel;
+  if (reply) *reply = channel.get_future();
+  return to_message(WireT{w}, std::move(channel));
 }
 
 }  // namespace
@@ -95,9 +51,10 @@ SendStatus InProcTransport::send_request(std::size_t from, std::size_t to,
     return SendStatus::Ok;
   }
   if (d.duplicate) {
-    (void)box->push(to_message(msg, static_cast<std::future<ReplyT>*>(nullptr)));
+    (void)box->push(
+        promise_message(msg, static_cast<std::future<ReplyT>*>(nullptr)));
   }
-  const runtime::PushStatus pushed = box->push(to_message(msg, &reply));
+  const runtime::PushStatus pushed = box->push(promise_message(msg, &reply));
   return pushed == runtime::PushStatus::Ok ? SendStatus::Ok
                                            : SendStatus::Closed;
 }

@@ -332,4 +332,44 @@ std::optional<Frame> FrameBuffer::next() {
   return frame;
 }
 
+runtime::Message to_message(WireInvoke w,
+                            runtime::Reply<runtime::InvokeResult> reply) {
+  return runtime::MsgInvoke{.object = std::move(w.object),
+                            .method = std::move(w.method),
+                            .argument = std::move(w.argument),
+                            .seq = w.seq,
+                            .reply = std::move(reply)};
+}
+
+runtime::Message to_message(WireInstall w, runtime::Reply<bool> reply) {
+  return runtime::MsgInstall{.name = std::move(w.name),
+                             .state = std::move(w.state),
+                             .seq = w.seq,
+                             .self_entry = w.self_entry,
+                             .done = std::move(reply)};
+}
+
+runtime::Message to_message(WireEvict w,
+                            runtime::Reply<runtime::ObjectState> reply) {
+  return runtime::MsgEvict{.name = std::move(w.name),
+                           .seq = w.seq,
+                           .forward_to = w.forward_to,
+                           .state = std::move(reply)};
+}
+
+runtime::Message to_message(WireDirLookup w,
+                            runtime::Reply<runtime::DirReply> reply) {
+  return runtime::MsgDirLookup{
+      .name = std::move(w.name), .seq = w.seq, .reply = std::move(reply)};
+}
+
+runtime::Message to_message(WireDirUpdate w,
+                            runtime::Reply<runtime::DirAck> reply) {
+  return runtime::MsgDirUpdate{.name = std::move(w.name),
+                               .node = w.node,
+                               .invalidate = w.invalidate,
+                               .seq = w.seq,
+                               .done = std::move(reply)};
+}
+
 }  // namespace omig::transport

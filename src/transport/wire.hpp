@@ -1,7 +1,7 @@
 // Wire protocol for the live runtime: every NodeMessage variant as a
 // length-prefixed frame.
 //
-// Inside one process the runtime's messages carry `std::promise` reply
+// Inside one process the runtime's messages carry `runtime::Reply` reply
 // channels; those cannot cross a process boundary. At the transport seam a
 // request instead carries a correlation ID, and the peer answers with a
 // reply frame quoting the same ID — the sending transport matches it back
@@ -183,6 +183,20 @@ struct Frame {
 /// type, truncated body, overlong inner length, or trailing bytes.
 [[nodiscard]] std::optional<Frame> decode_payload(
     std::span<const std::uint8_t> payload);
+
+/// Rebuilds the runtime message a wire request stands for, answered through
+/// `reply` — the one field mapping shared by the in-process transport
+/// (a promise reply) and the server bridge (a callback reply).
+[[nodiscard]] runtime::Message to_message(
+    WireInvoke w, runtime::Reply<runtime::InvokeResult> reply);
+[[nodiscard]] runtime::Message to_message(WireInstall w,
+                                          runtime::Reply<bool> reply);
+[[nodiscard]] runtime::Message to_message(
+    WireEvict w, runtime::Reply<runtime::ObjectState> reply);
+[[nodiscard]] runtime::Message to_message(
+    WireDirLookup w, runtime::Reply<runtime::DirReply> reply);
+[[nodiscard]] runtime::Message to_message(
+    WireDirUpdate w, runtime::Reply<runtime::DirAck> reply);
 
 /// Reassembles frames from a TCP byte stream. recv() boundaries carry no
 /// meaning on a stream socket, so feed() accepts arbitrary splits and

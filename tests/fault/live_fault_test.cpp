@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "fault/fault_plan.hpp"
+#include "obs/families.hpp"
 #include "runtime/live_system.hpp"
 
 namespace omig::runtime {
@@ -69,6 +70,34 @@ TEST(LiveFaultTest, LossyLinksEveryInvokeStillSucceeds) {
   EXPECT_EQ(sys->invoke("c", "get", "").value, std::to_string(kCalls));
   EXPECT_GT(sys->dropped_messages(), 0u);
   EXPECT_GT(sys->retries(), 0u);
+}
+
+TEST(LiveFaultTest, EveryRetryIsExportedToTheRegistry) {
+  // Sharded directory plus migrations, so the lossy links hit every retry
+  // site: invokes, evicts, installs, directory updates and lookups.
+  const std::uint64_t exported_before =
+      obs::runtime_metrics().retries->value();
+  LiveSystem::Options opts;
+  opts.nodes = 4;
+  opts.directory = objsys::DirectoryKind::Sharded;
+  opts.fault_plan = fault::parse_plan_text("seed 11\ndrop * * 0.2\n");
+  auto sys = make_system(std::move(opts));
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(sys->create("c" + std::to_string(i), counter_state(),
+                            static_cast<std::size_t>(i)));
+  }
+  for (int round = 0; round < 10; ++round) {
+    for (int i = 0; i < 4; ++i) {
+      const std::string name = "c" + std::to_string(i);
+      EXPECT_TRUE(sys->migrate(name, static_cast<std::size_t>(round + i) % 4));
+      EXPECT_TRUE(sys->invoke_from(static_cast<std::size_t>(round) % 4, name,
+                                   "inc", "")
+                      .ok);
+    }
+  }
+  EXPECT_GT(sys->retries(), 0u);
+  EXPECT_EQ(obs::runtime_metrics().retries->value() - exported_before,
+            sys->retries());
 }
 
 TEST(LiveFaultTest, DuplicatesAreDeduplicated) {

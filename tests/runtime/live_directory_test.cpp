@@ -145,10 +145,11 @@ protected:
       nodes_.back()->start();
       LiveNode* node = nodes_.back().get();
       servers_.push_back(std::make_unique<transport::NodeServer>(
-          [this, node, i](transport::Frame frame) {
+          [this, node, i](transport::Frame frame,
+                          transport::NodeServer::Responder respond) {
             record(i, frame);
-            return transport::serve_on_mailbox(node->mailbox(),
-                                               std::move(frame));
+            transport::serve_on_mailbox(node->mailbox(), std::move(frame),
+                                        std::move(respond));
           }));
       const std::uint16_t port = servers_.back()->start();
       ASSERT_NE(port, 0);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -281,6 +282,37 @@ TEST(LiveSystemTest, StopIsIdempotentAndConcurrent) {
   for (auto& t : stoppers) t.join();
   sys->stop();  // and once more for good measure
   sys.reset();  // destructor's stop() is also a no-op
+}
+
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(LiveSystemTest, AsyncTcpRunsOneLoopThreadPlusOneThreadPerNode) {
+  // Any thread a runtime library starts lazily on the first spawn is
+  // already running before the baseline is taken.
+  std::thread{[] {}}.join();
+  const std::size_t before = thread_count();
+  LiveSystem::Options opts;
+  opts.nodes = 4;
+  opts.transport = TransportKind::AsyncTcp;
+  auto sys = std::make_unique<LiveSystem>(opts);
+  sys->register_type("counter", counter_factory());
+  sys->start();
+  for (std::size_t node = 0; node < opts.nodes; ++node) {
+    ASSERT_TRUE(sys->create("c" + std::to_string(node), counter_state(),
+                            node));
+    EXPECT_TRUE(sys->invoke("c" + std::to_string(node), "inc", "").ok);
+  }
+  // The node servers share the one loop and hand frames straight to the
+  // node mailboxes: no thread per server or per connection.
+  EXPECT_EQ(thread_count() - before, opts.nodes + 1);
+  sys.reset();
 }
 
 }  // namespace

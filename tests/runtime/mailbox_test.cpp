@@ -1,4 +1,5 @@
 #include "runtime/mailbox.hpp"
+#include "runtime/message.hpp"
 
 #include <gtest/gtest.h>
 
@@ -105,6 +106,47 @@ TEST(MailboxTest, CloseAndDiscardBreaksCarriedPromises) {
   box.push(std::move(p));
   box.close_and_discard();
   EXPECT_THROW(reply.get(), std::future_error);
+}
+
+TEST(MailboxReply, DefaultReplyIsAPromise) {
+  Reply<int> reply;
+  std::future<int> value = reply.get_future();
+  reply.set_value(7);
+  EXPECT_EQ(value.get(), 7);
+  EXPECT_THROW(reply.set_value(8), std::future_error);
+}
+
+TEST(MailboxReply, DiscardedPromiseReplyBreaksItsFuture) {
+  Mailbox<Reply<int>> box;
+  Reply<int> reply;
+  std::future<int> value = reply.get_future();
+  box.push(std::move(reply));
+  box.close_and_discard();
+  EXPECT_THROW(value.get(), std::future_error);
+}
+
+TEST(MailboxReply, CallbackReplyRunsOnTheSettingThreadOnce) {
+  std::thread::id ran_on;
+  int got = 0;
+  Reply<int> reply{[&](int v) {
+    ran_on = std::this_thread::get_id();
+    got = v;
+  }};
+  std::thread setter([&reply] { reply.set_value(5); });
+  const std::thread::id setter_id = setter.get_id();
+  setter.join();
+  EXPECT_EQ(got, 5);
+  EXPECT_EQ(ran_on, setter_id);
+  EXPECT_THROW(reply.set_value(6), std::future_error);
+  EXPECT_EQ(got, 5);
+}
+
+TEST(MailboxReply, DiscardedCallbackReplySendsNothing) {
+  bool called = false;
+  Mailbox<Reply<int>> box;
+  box.push(Reply<int>{[&called](int) { called = true; }});
+  box.close_and_discard();
+  EXPECT_FALSE(called);
 }
 
 TEST(MailboxTest, ReopenRearmsAClosedMailbox) {

@@ -41,16 +41,15 @@ std::size_t open_fd_count() {
 TEST(TransportSoak, ThousandConcurrentConnectionsZeroDropZeroDup) {
   std::atomic<std::uint64_t> handled{0};
   NodeServer server(
-      [&handled](Frame frame) -> std::optional<Frame> {
+      [&handled](Frame frame, NodeServer::Responder respond) {
         const auto* invoke = std::get_if<WireInvoke>(&frame.payload);
-        if (invoke == nullptr) return std::nullopt;
+        if (invoke == nullptr) return;
         handled.fetch_add(1, std::memory_order_relaxed);
         WireInvokeReply reply;
         reply.result.ok = true;
         reply.result.value = invoke->method + ":" + invoke->argument;
-        return Frame{frame.corr, std::move(reply)};
-      },
-      /*loop=*/nullptr, /*handler_threads=*/2);
+        respond.send(Frame{frame.corr, std::move(reply)});
+      });
   const std::uint16_t port = server.start();
   ASSERT_NE(port, 0);
 

@@ -42,9 +42,11 @@ protected:
     factories_ = runtime::demo_factories();
     node_ = std::make_unique<runtime::LiveNode>(0, &factories_);
     node_->start();
-    server_ = std::make_unique<NodeServer>([this](Frame frame) {
-      return serve_on_mailbox(node_->mailbox(), std::move(frame));
-    });
+    server_ = std::make_unique<NodeServer>(
+        [this](Frame frame, NodeServer::Responder respond) {
+          serve_on_mailbox(node_->mailbox(), std::move(frame),
+                           std::move(respond));
+        });
     port_ = server_->start();
     ASSERT_NE(port_, 0);
     if (async()) {

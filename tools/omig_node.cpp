@@ -197,17 +197,17 @@ int serve(std::size_t id, std::uint16_t port, const std::string& port_file,
     delta_logger.start(std::chrono::milliseconds{serve_opts.metrics_log_ms});
   }
 
-  // The server thread flags the Shutdown frame so main can exit; the
+  // The loop thread flags the Shutdown frame so main can exit; the
   // bridge still forwards it as MsgStop, which ends the node loop.
   std::mutex mutex;
   std::condition_variable cv;
   bool stopping = false;
   transport::NodeServer server{
-      [&](transport::Frame frame) {
+      [&](transport::Frame frame, transport::NodeServer::Responder respond) {
         const bool is_shutdown =
             std::holds_alternative<transport::WireShutdown>(frame.payload);
-        auto reply =
-            transport::serve_on_mailbox(node.mailbox(), std::move(frame));
+        transport::serve_on_mailbox(node.mailbox(), std::move(frame),
+                                    std::move(respond));
         if (is_shutdown) {
           {
             std::lock_guard lock{mutex};
@@ -215,7 +215,6 @@ int serve(std::size_t id, std::uint16_t port, const std::string& port_file,
           }
           cv.notify_all();
         }
-        return reply;
       },
       &loop};
 
