@@ -1,80 +1,31 @@
 #include "runtime/serde.hpp"
 
-#include <cstring>
+#include "util/byte_codec.hpp"
 
 namespace omig::runtime {
 
-namespace {
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-class Reader {
-public:
-  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_{bytes} {}
-
-  bool read_u32(std::uint32_t& out) {
-    if (bytes_.size() - pos_ < 4) return false;
-    out = static_cast<std::uint32_t>(bytes_[pos_]) |
-          static_cast<std::uint32_t>(bytes_[pos_ + 1]) << 8 |
-          static_cast<std::uint32_t>(bytes_[pos_ + 2]) << 16 |
-          static_cast<std::uint32_t>(bytes_[pos_ + 3]) << 24;
-    pos_ += 4;
-    return true;
-  }
-
-  bool read_str(std::string& out) {
-    std::uint32_t len = 0;
-    if (!read_u32(len)) return false;
-    if (bytes_.size() - pos_ < len) return false;
-    out.assign(reinterpret_cast<const char*>(bytes_.data() + pos_), len);
-    pos_ += len;
-    return true;
-  }
-
-  [[nodiscard]] bool exhausted() const { return pos_ == bytes_.size(); }
-
-private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
 std::vector<std::uint8_t> encode(const ObjectState& state) {
   std::vector<std::uint8_t> out;
-  put_str(out, state.type);
-  put_u32(out, static_cast<std::uint32_t>(state.fields.size()));
+  util::put_str(out, state.type);
+  util::put_u32(out, static_cast<std::uint32_t>(state.fields.size()));
   for (const auto& [key, value] : state.fields) {
-    put_str(out, key);
-    put_str(out, value);
+    util::put_str(out, key);
+    util::put_str(out, value);
   }
   return out;
 }
 
 std::optional<ObjectState> decode(std::span<const std::uint8_t> bytes) {
-  Reader reader{bytes};
+  util::ByteReader in{bytes};
   ObjectState state;
-  if (!reader.read_str(state.type)) return std::nullopt;
-  std::uint32_t count = 0;
-  if (!reader.read_u32(count)) return std::nullopt;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::string key, value;
-    if (!reader.read_str(key) || !reader.read_str(value)) {
-      return std::nullopt;
-    }
-    state.fields[std::move(key)] = std::move(value);
+  state.type = in.str();
+  const std::uint32_t count = in.u32();
+  for (std::uint32_t i = 0; i < count && in.ok(); ++i) {
+    std::string key = in.str();
+    std::string value = in.str();
+    if (in.ok()) state.fields[std::move(key)] = std::move(value);
   }
-  if (!reader.exhausted()) return std::nullopt;  // trailing garbage
+  if (!in.done()) return std::nullopt;  // truncated, or trailing garbage
   return state;
 }
 

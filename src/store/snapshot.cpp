@@ -3,6 +3,7 @@
 #include "obs/families.hpp"
 #include "store/crc32.hpp"
 #include "store/env.hpp"
+#include "util/byte_codec.hpp"
 
 namespace omig::store {
 
@@ -12,110 +13,47 @@ namespace {
 /// allocate gigabytes before validation finishes.
 constexpr std::uint32_t kMaxInnerLen = 16u * 1024u * 1024u;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-struct Reader {
-  std::span<const std::uint8_t> bytes;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  std::uint8_t u8() {
-    if (!ok || bytes.size() - pos < 1) {
-      ok = false;
-      return 0;
-    }
-    return bytes[pos++];
-  }
-
-  std::uint32_t u32() {
-    if (!ok || bytes.size() - pos < 4) {
-      ok = false;
-      return 0;
-    }
-    std::uint32_t v = 0;
-    for (int shift = 0; shift < 32; shift += 8) {
-      v |= static_cast<std::uint32_t>(bytes[pos++]) << shift;
-    }
-    return v;
-  }
-
-  std::uint64_t u64() {
-    if (!ok || bytes.size() - pos < 8) {
-      ok = false;
-      return 0;
-    }
-    std::uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 8) {
-      v |= static_cast<std::uint64_t>(bytes[pos++]) << shift;
-    }
-    return v;
-  }
-
-  std::span<const std::uint8_t> chunk() {
-    const std::uint32_t len = u32();
-    if (!ok || len > kMaxInnerLen || bytes.size() - pos < len) {
-      ok = false;
-      return {};
-    }
-    const std::span<const std::uint8_t> out = bytes.subspan(pos, len);
-    pos += len;
-    return out;
-  }
-};
-
 }  // namespace
 
 std::vector<std::uint8_t> encode_snapshot(const Snapshot& snap) {
   std::vector<std::uint8_t> body;
-  body.push_back(kSnapshotVersion);
-  put_u64(body, snap.last_seq);
-  put_u32(body, static_cast<std::uint32_t>(snap.objects.size()));
+  util::put_u8(body, kSnapshotVersion);
+  util::put_u64(body, snap.last_seq);
+  util::put_u32(body, static_cast<std::uint32_t>(snap.objects.size()));
   for (const auto& [name, obj] : snap.objects) {
-    put_u32(body, static_cast<std::uint32_t>(name.size()));
-    body.insert(body.end(), name.begin(), name.end());
-    put_u64(body, obj.node);
-    put_u64(body, obj.cursor);
-    put_u32(body, static_cast<std::uint32_t>(obj.state.size()));
-    body.insert(body.end(), obj.state.begin(), obj.state.end());
+    util::put_str(body, name);
+    util::put_u64(body, obj.node);
+    util::put_u64(body, obj.cursor);
+    util::put_bytes(body, obj.state);
   }
   std::vector<std::uint8_t> out;
   out.reserve(4 + body.size());
-  put_u32(out, crc32(body));
+  util::put_u32(out, crc32(body));
   out.insert(out.end(), body.begin(), body.end());
   return out;
 }
 
 std::optional<Snapshot> decode_snapshot(std::span<const std::uint8_t> bytes) {
   if (bytes.size() < 4) return std::nullopt;
-  Reader in{bytes};
+  util::ByteReader in{bytes};
   const std::uint32_t crc = in.u32();
   if (crc32(bytes.subspan(4)) != crc) return std::nullopt;
   if (in.u8() != kSnapshotVersion) return std::nullopt;
   Snapshot snap;
   snap.last_seq = in.u64();
   const std::uint32_t count = in.u32();
-  for (std::uint32_t i = 0; in.ok && i < count; ++i) {
-    const std::span<const std::uint8_t> name = in.chunk();
+  for (std::uint32_t i = 0; in.ok() && i < count; ++i) {
+    const std::span<const std::uint8_t> name = in.chunk(kMaxInnerLen);
     StoredObject obj;
     obj.node = in.u64();
     obj.cursor = in.u64();
-    const std::span<const std::uint8_t> state = in.chunk();
-    if (!in.ok) break;
+    const std::span<const std::uint8_t> state = in.chunk(kMaxInnerLen);
+    if (!in.ok()) break;
     obj.state.assign(state.begin(), state.end());
     snap.objects.emplace(std::string{name.begin(), name.end()},
                          std::move(obj));
   }
-  if (!in.ok || in.pos != bytes.size()) return std::nullopt;
+  if (!in.done()) return std::nullopt;
   if (snap.objects.size() != count) return std::nullopt;  // duplicate names
   return snap;
 }

@@ -4,6 +4,7 @@
 
 #include "obs/families.hpp"
 #include "store/crc32.hpp"
+#include "util/byte_codec.hpp"
 
 namespace omig::store {
 
@@ -14,79 +15,6 @@ constexpr std::size_t kHeaderBytes = 8;
 /// Inner string/blob length cap — keeps one corrupt length prefix from
 /// allocating gigabytes before the CRC would have caught it anyway.
 constexpr std::uint32_t kMaxInnerLen = kMaxWalPayload;
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-/// Bounds-checked sequential reader over one payload; mirrors the strict
-/// cursor in runtime/serde.cpp.
-struct Reader {
-  std::span<const std::uint8_t> bytes;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  std::uint8_t u8() {
-    if (!ok || bytes.size() - pos < 1) {
-      ok = false;
-      return 0;
-    }
-    return bytes[pos++];
-  }
-
-  std::uint32_t u32() {
-    if (!ok || bytes.size() - pos < 4) {
-      ok = false;
-      return 0;
-    }
-    std::uint32_t v = 0;
-    for (int shift = 0; shift < 32; shift += 8) {
-      v |= static_cast<std::uint32_t>(bytes[pos++]) << shift;
-    }
-    return v;
-  }
-
-  std::uint64_t u64() {
-    if (!ok || bytes.size() - pos < 8) {
-      ok = false;
-      return 0;
-    }
-    std::uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 8) {
-      v |= static_cast<std::uint64_t>(bytes[pos++]) << shift;
-    }
-    return v;
-  }
-
-  std::span<const std::uint8_t> chunk() {
-    const std::uint32_t len = u32();
-    if (!ok || len > kMaxInnerLen || bytes.size() - pos < len) {
-      ok = false;
-      return {};
-    }
-    const std::span<const std::uint8_t> out = bytes.subspan(pos, len);
-    pos += len;
-    return out;
-  }
-};
-
-std::uint32_t read_u32_at(std::span<const std::uint8_t> bytes,
-                          std::size_t pos) {
-  std::uint32_t v = 0;
-  for (int shift = 0; shift < 32; shift += 8) {
-    v |= static_cast<std::uint32_t>(bytes[pos++]) << shift;
-  }
-  return v;
-}
 
 }  // namespace
 
@@ -103,27 +31,25 @@ const char* to_string(RecordKind kind) {
 std::vector<std::uint8_t> encode_record(const WalRecord& record) {
   std::vector<std::uint8_t> payload;
   payload.reserve(32 + record.name.size() + record.blob.size());
-  payload.push_back(kWalVersion);
-  payload.push_back(static_cast<std::uint8_t>(record.kind));
-  put_u64(payload, record.seq);
-  put_u32(payload, static_cast<std::uint32_t>(record.name.size()));
-  payload.insert(payload.end(), record.name.begin(), record.name.end());
-  put_u64(payload, record.a);
-  put_u64(payload, record.b);
-  put_u32(payload, static_cast<std::uint32_t>(record.blob.size()));
-  payload.insert(payload.end(), record.blob.begin(), record.blob.end());
+  util::put_u8(payload, kWalVersion);
+  util::put_u8(payload, static_cast<std::uint8_t>(record.kind));
+  util::put_u64(payload, record.seq);
+  util::put_str(payload, record.name);
+  util::put_u64(payload, record.a);
+  util::put_u64(payload, record.b);
+  util::put_bytes(payload, record.blob);
 
   std::vector<std::uint8_t> frame;
   frame.reserve(kHeaderBytes + payload.size());
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, crc32(payload));
+  util::put_u32(frame, static_cast<std::uint32_t>(payload.size()));
+  util::put_u32(frame, crc32(payload));
   frame.insert(frame.end(), payload.begin(), payload.end());
   return frame;
 }
 
 std::optional<WalRecord> decode_record_payload(
     std::span<const std::uint8_t> payload) {
-  Reader in{payload};
+  util::ByteReader in{payload};
   if (in.u8() != kWalVersion) return std::nullopt;
   const std::uint8_t kind = in.u8();
   if (kind < static_cast<std::uint8_t>(RecordKind::Checkpoint) ||
@@ -133,11 +59,11 @@ std::optional<WalRecord> decode_record_payload(
   WalRecord record;
   record.kind = static_cast<RecordKind>(kind);
   record.seq = in.u64();
-  const std::span<const std::uint8_t> name = in.chunk();
+  const std::span<const std::uint8_t> name = in.chunk(kMaxInnerLen);
   record.a = in.u64();
   record.b = in.u64();
-  const std::span<const std::uint8_t> blob = in.chunk();
-  if (!in.ok || in.pos != payload.size()) return std::nullopt;
+  const std::span<const std::uint8_t> blob = in.chunk(kMaxInnerLen);
+  if (!in.done()) return std::nullopt;
   record.name.assign(name.begin(), name.end());
   record.blob.assign(blob.begin(), blob.end());
   return record;
@@ -148,8 +74,8 @@ ReplayResult replay_wal(std::span<const std::uint8_t> bytes,
   ReplayResult result;
   std::size_t pos = 0;
   while (bytes.size() - pos >= kHeaderBytes) {
-    const std::uint32_t len = read_u32_at(bytes, pos);
-    const std::uint32_t crc = read_u32_at(bytes, pos + 4);
+    const std::uint32_t len = util::load_u32(bytes.data() + pos);
+    const std::uint32_t crc = util::load_u32(bytes.data() + pos + 4);
     if (len > kMaxWalPayload) break;  // corrupt length prefix
     if (bytes.size() - pos - kHeaderBytes < len) break;  // torn frame
     const std::span<const std::uint8_t> payload =
