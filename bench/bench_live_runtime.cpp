@@ -101,7 +101,7 @@ BENCHMARK(BM_SerdeRoundTrip)->Arg(4)->Arg(64);
 // carrying a `range(0)`-field object state, then strictly decode it back.
 void BM_WireFrameRoundTrip(benchmark::State& state) {
   using namespace omig::transport;
-  WireInstall msg;
+  omig::runtime::Install msg;
   msg.seq = 1;
   msg.name = "c";
   msg.state.type = "cart";

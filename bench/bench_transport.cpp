@@ -47,14 +47,14 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using omig::runtime::Install;
+using omig::runtime::Invoke;
 using omig::transport::AsyncTcpTransport;
 using omig::transport::InProcTransport;
 using omig::transport::Peer;
 using omig::transport::SendStatus;
 using omig::transport::TcpTransport;
 using omig::transport::Transport;
-using omig::transport::WireInstall;
-using omig::transport::WireInvoke;
 
 constexpr std::size_t kSender = 4096;
 
@@ -80,12 +80,12 @@ long proc_status_field(const char* key) {
 
 bool install_counter(Transport& transport, const std::string& name,
                      std::uint64_t& seq) {
-  WireInstall msg;
+  Install msg;
   msg.seq = seq++;
   msg.name = name;
   msg.state = omig::runtime::make_state("counter", {{"count", "0"}});
   std::future<bool> done;
-  if (transport.send_install(kSender, 0, msg, done) != SendStatus::Ok) {
+  if (transport.send(kSender, 0, msg, done) != SendStatus::Ok) {
     return false;
   }
   return done.get();
@@ -115,12 +115,12 @@ EchoResult run_echo(const std::string& backend, Transport& transport,
   if (!install_counter(transport, obj, seq)) return {backend};
 
   auto invoke = [&](std::future<omig::runtime::InvokeResult>& reply) {
-    WireInvoke msg;
+    Invoke msg;
     msg.seq = seq++;
     msg.object = obj;
     msg.method = "add";
     msg.argument = "1";
-    return transport.send_invoke(kSender, 0, msg, reply);
+    return transport.send(kSender, 0, msg, reply);
   };
 
   EchoResult r;
@@ -210,12 +210,12 @@ LadderResult run_ladder(const std::string& backend, std::uint16_t port,
   std::vector<std::future<omig::runtime::InvokeResult>> replies;
   replies.reserve(conns);
   for (std::size_t conn = 0; conn < conns; ++conn) {
-    WireInvoke msg;
+    Invoke msg;
     msg.seq = seq++;
     msg.object = obj;
     msg.method = "get";
     std::future<omig::runtime::InvokeResult> reply;
-    if (transport->send_invoke(kSender, conn, msg, reply) != SendStatus::Ok) {
+    if (transport->send(kSender, conn, msg, reply) != SendStatus::Ok) {
       return r;
     }
     replies.push_back(std::move(reply));

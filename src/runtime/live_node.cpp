@@ -99,10 +99,10 @@ void LiveNode::run() {
     std::visit(
         [&](auto& m) {
           using T = std::decay_t<decltype(m)>;
-          if constexpr (std::is_same_v<T, MsgStop>) {
+          if constexpr (std::is_same_v<T, Shutdown>) {
             stop = true;
           } else {
-            handle(m);
+            handle(m.body, m.reply);
           }
         },
         *msg);
@@ -123,7 +123,7 @@ void LiveNode::remember(std::unordered_map<std::uint64_t, V>& cache,
   }
 }
 
-void LiveNode::handle(MsgInvoke& msg) {
+void LiveNode::handle(Invoke& msg, Reply<InvokeResult>& reply) {
   obs::node_metrics().invokes->inc();
   if (msg.seq != 0) {
     auto cached = invoke_replies_.find(msg.seq);
@@ -132,7 +132,7 @@ void LiveNode::handle(MsgInvoke& msg) {
       // cache, never run the method twice.
       deduped_.fetch_add(1, std::memory_order_relaxed);
       obs::node_metrics().dedup_hits->inc();
-      msg.reply.set_value(cached->second);
+      reply.set_value(cached->second);
       return;
     }
   }
@@ -146,10 +146,10 @@ void LiveNode::handle(MsgInvoke& msg) {
   if (msg.seq != 0) {
     remember(invoke_replies_, invoke_order_, msg.seq, result);
   }
-  msg.reply.set_value(std::move(result));
+  reply.set_value(std::move(result));
 }
 
-void LiveNode::handle(MsgInstall& msg) {
+void LiveNode::handle(Install& msg, Reply<bool>& reply) {
   obs::node_metrics().installs->inc();
   if (msg.seq != 0) {
     auto seen = installed_seq_.find(msg.name);
@@ -157,13 +157,13 @@ void LiveNode::handle(MsgInstall& msg) {
       // Duplicate of an install we already applied: just acknowledge.
       deduped_.fetch_add(1, std::memory_order_relaxed);
       obs::node_metrics().dedup_hits->inc();
-      msg.done.set_value(true);
+      reply.set_value(true);
       return;
     }
   }
   auto fit = factories_->find(msg.state.type);
   if (fit == factories_->end()) {
-    msg.done.set_value(false);
+    reply.set_value(false);
     return;
   }
   if (store_ != nullptr) {
@@ -173,7 +173,7 @@ void LiveNode::handle(MsgInstall& msg) {
     const auto outcome =
         store_->checkpoint(msg.name, id_, 0, encode(msg.state));
     if (!outcome.applied) {
-      msg.done.set_value(false);
+      reply.set_value(false);
       return;
     }
   }
@@ -187,22 +187,22 @@ void LiveNode::handle(MsgInstall& msg) {
     hosted_.fetch_add(1, std::memory_order_relaxed);
     obs::node_metrics().hosted_objects->add(1);
   }
-  msg.done.set_value(true);
+  reply.set_value(true);
 }
 
-void LiveNode::handle(MsgDirLookup& msg) {
+void LiveNode::handle(DirLookup& msg, Reply<DirReply>& reply) {
   // Read-only and idempotent: no dedup needed. Answers from whatever this
   // node serves — its shard slice or a forwarding hint left behind by a
   // departed object; both live in the same table.
   auto it = dir_entries_.find(msg.name);
   if (it == dir_entries_.end()) {
-    msg.reply.set_value(DirReply{false, 0});
+    reply.set_value(DirReply{false, 0});
     return;
   }
-  msg.reply.set_value(DirReply{true, it->second});
+  reply.set_value(DirReply{true, it->second});
 }
 
-void LiveNode::handle(MsgDirUpdate& msg) {
+void LiveNode::handle(DirUpdate& msg, Reply<DirAck>& reply) {
   // Idempotent: the update carries the absolute new value (or drops the
   // entry), so a retransmission converges to the same state.
   if (msg.invalidate) {
@@ -211,7 +211,7 @@ void LiveNode::handle(MsgDirUpdate& msg) {
   } else {
     set_dir_entry(msg.name, msg.node);
   }
-  msg.done.set_value(DirAck{true});
+  reply.set_value(DirAck{true});
 }
 
 void LiveNode::set_dir_entry(const std::string& name, std::uint64_t node) {
@@ -219,7 +219,7 @@ void LiveNode::set_dir_entry(const std::string& name, std::uint64_t node) {
   dir_entry_count_.store(dir_entries_.size(), std::memory_order_relaxed);
 }
 
-void LiveNode::handle(MsgEvict& msg) {
+void LiveNode::handle(Evict& msg, Reply<ObjectState>& reply) {
   obs::node_metrics().evicts->inc();
   if (msg.seq != 0) {
     auto cached = evicted_states_.find(msg.seq);
@@ -228,7 +228,7 @@ void LiveNode::handle(MsgEvict& msg) {
       // captured by the first delivery.
       deduped_.fetch_add(1, std::memory_order_relaxed);
       obs::node_metrics().dedup_hits->inc();
-      msg.state.set_value(cached->second);
+      reply.set_value(cached->second);
       return;
     }
   }
@@ -239,7 +239,7 @@ void LiveNode::handle(MsgEvict& msg) {
   if (msg.forward_to.has_value()) set_dir_entry(msg.name, *msg.forward_to);
   auto it = objects_.find(msg.name);
   if (it == objects_.end()) {
-    msg.state.set_value(ObjectState{});  // empty type signals failure
+    reply.set_value(ObjectState{});  // empty type signals failure
     return;
   }
   ObjectState state = it->second->linearize();
@@ -255,7 +255,7 @@ void LiveNode::handle(MsgEvict& msg) {
   if (msg.seq != 0) {
     remember(evicted_states_, evict_order_, msg.seq, state);
   }
-  msg.state.set_value(std::move(state));
+  reply.set_value(std::move(state));
 }
 
 }  // namespace omig::runtime

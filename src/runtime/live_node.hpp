@@ -80,11 +80,11 @@ public:
 
 private:
   void run();
-  void handle(MsgInvoke& msg);
-  void handle(MsgInstall& msg);
-  void handle(MsgEvict& msg);
-  void handle(MsgDirLookup& msg);
-  void handle(MsgDirUpdate& msg);
+  void handle(Invoke& msg, Reply<InvokeResult>& reply);
+  void handle(Install& msg, Reply<bool>& reply);
+  void handle(Evict& msg, Reply<ObjectState>& reply);
+  void handle(DirLookup& msg, Reply<DirReply>& reply);
+  void handle(DirUpdate& msg, Reply<DirAck>& reply);
   /// Records `name -> node` in this node's directory table.
   void set_dir_entry(const std::string& name, std::uint64_t node);
   /// Inserts into a seq-keyed cache, evicting the oldest entry beyond the

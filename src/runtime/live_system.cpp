@@ -291,6 +291,23 @@ std::optional<T> LiveSystem::await_reply(std::future<T>& reply) {
   }
 }
 
+template <class Body>
+std::optional<typename Body::Result> LiveSystem::request_with_retry(
+    std::size_t from, std::size_t to, const Body& body,
+    bool stop_on_reject) {
+  for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
+    if (attempt > 0) retry(attempt);
+    std::future<typename Body::Result> reply;
+    if (!sent_ok(transport_->send(from, to, body, reply))) {
+      if (stop_on_reject) break;
+      continue;  // node is down; it may restart within the retry budget
+    }
+    auto got = await_reply(reply);
+    if (got.has_value()) return got;
+  }
+  return std::nullopt;
+}
+
 void LiveSystem::retry(int attempt) {
   retries_.fetch_add(1, std::memory_order_relaxed);
   obs::runtime_metrics().retries->inc();
@@ -311,24 +328,13 @@ bool LiveSystem::faults_active() const {
 bool LiveSystem::install_with_retry(std::size_t node, const std::string& name,
                                     const ObjectState& state,
                                     std::size_t from) {
-  const std::uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  transport::WireInstall msg;
-  msg.seq = seq;
-  msg.name = name;
-  msg.state = state;
   // The new host records its own self-entry as it installs, so forwarding
   // chases that reach it terminate without a separate DirUpdate.
-  msg.self_entry = sharded();
-  for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-    if (attempt > 0) retry(attempt);
-    std::future<bool> done;
-    if (!sent_ok(transport_->send_install(from, node, msg, done))) {
-      continue;  // node is down; it may restart within the retry budget
-    }
-    auto ok = await_reply(done);
-    if (ok.has_value()) return *ok;
-  }
-  return false;
+  const Install msg{.seq = next_seq_.fetch_add(1, std::memory_order_relaxed),
+                    .name = name,
+                    .state = state,
+                    .self_entry = sharded()};
+  return request_with_retry(from, node, msg).value_or(false);
 }
 
 bool LiveSystem::create(const std::string& name, ObjectState state,
@@ -447,22 +453,12 @@ InvokeResult LiveSystem::invoke_impl(std::optional<std::size_t> from,
     }
     // One logical request: every retransmission reuses this seq, so the
     // hosting node executes the method at most once.
-    transport::WireInvoke msg;
-    msg.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-    msg.object = object;
-    msg.method = method;
-    msg.argument = argument;
-    std::optional<InvokeResult> result;
-    for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-      if (attempt > 0) retry(attempt);
-      std::future<InvokeResult> reply;
-      if (!sent_ok(transport_->send_invoke(from.value_or(kExternalSender),
-                                           node, msg, reply))) {
-        continue;  // node is down; it may restart within the retry budget
-      }
-      result = await_reply(reply);
-      if (result.has_value()) break;
-    }
+    const Invoke msg{.seq = next_seq_.fetch_add(1, std::memory_order_relaxed),
+                     .object = object,
+                     .method = method,
+                     .argument = argument};
+    const std::optional<InvokeResult> result =
+        request_with_retry(from.value_or(kExternalSender), node, msg);
     if (!result.has_value()) {
       return InvokeResult{
           false, "node unreachable: " + std::to_string(node) + " (" + object +
@@ -582,24 +578,12 @@ std::size_t LiveSystem::relocate(const std::vector<std::string>& objects,
 
     // Pull the state off the source; the request travels dest -> src. A
     // dead source ends the attempts early — recovery takes over below.
-    std::optional<ObjectState> state;
-    transport::WireEvict evict;
-    evict.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-    evict.name = name;
+    Evict evict{.seq = next_seq_.fetch_add(1, std::memory_order_relaxed),
+                .name = name};
     // The source records its forwarding entry as it gives the object up.
     if (sharded()) evict.forward_to = static_cast<std::uint64_t>(dest);
-    for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-      if (attempt > 0) retry(attempt);
-      std::future<ObjectState> state_future;
-      if (!sent_ok(transport_->send_evict(dest, src, evict, state_future))) {
-        break;
-      }
-      auto got = await_reply(state_future);
-      if (got.has_value()) {
-        state = std::move(*got);
-        break;
-      }
-    }
+    std::optional<ObjectState> state =
+        request_with_retry(dest, src, evict, /*stop_on_reject=*/true);
     // Only an answered evict is known to have left src's forwarding entry.
     const bool evict_answered = state.has_value();
 
@@ -1046,40 +1030,24 @@ bool LiveSystem::dir_update(std::size_t target, const std::string& name,
                             std::size_t node, bool invalidate) {
   dir_updates_.fetch_add(1, std::memory_order_relaxed);
   obs::dir_metrics().updates->inc();
-  transport::WireDirUpdate msg;
-  msg.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  msg.name = name;
-  msg.node = static_cast<std::uint64_t>(node);
-  msg.invalidate = invalidate;
-  for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-    if (attempt > 0) retry(attempt);
-    std::future<DirAck> done;
-    if (!sent_ok(transport_->send_dir_update(kExternalSender, target, msg,
-                                             done))) {
-      continue;  // target is down; restart reconciliation re-seeds it
-    }
-    auto ack = await_reply(done);
-    if (ack.has_value()) return ack->ok;
-  }
-  return false;
+  // A target that stays down is re-seeded by restart reconciliation.
+  const DirUpdate msg{
+      .seq = next_seq_.fetch_add(1, std::memory_order_relaxed),
+      .name = name,
+      .node = static_cast<std::uint64_t>(node),
+      .invalidate = invalidate};
+  const std::optional<DirAck> ack =
+      request_with_retry(kExternalSender, target, msg);
+  return ack.has_value() && ack->ok;
 }
 
 std::optional<DirReply> LiveSystem::dir_lookup(std::size_t from,
                                                std::size_t target,
                                                const std::string& name) {
-  transport::WireDirLookup msg;
-  msg.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  msg.name = name;
-  for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-    if (attempt > 0) retry(attempt);
-    std::future<DirReply> reply;
-    if (!sent_ok(transport_->send_dir_lookup(from, target, msg, reply))) {
-      continue;
-    }
-    auto got = await_reply(reply);
-    if (got.has_value()) return got;
-  }
-  return std::nullopt;
+  return request_with_retry(
+      from, target,
+      DirLookup{.seq = next_seq_.fetch_add(1, std::memory_order_relaxed),
+                .name = name});
 }
 
 std::optional<std::size_t> LiveSystem::directory_entry(

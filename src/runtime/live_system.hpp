@@ -432,6 +432,16 @@ private:
   /// omig_runtime_retries_total, then backs off.
   void retry(int attempt);
 
+  /// Sends `body` from `from` to `to` and awaits the reply, retransmitting
+  /// the same body — same seq, so delivery stays at-most-once — up to
+  /// Options::max_retries times with backoff. A typed send rejection is
+  /// retried as well (the node may restart within the budget) unless
+  /// `stop_on_reject`. nullopt = no reply within the budget.
+  template <class Body>
+  std::optional<typename Body::Result> request_with_retry(
+      std::size_t from, std::size_t to, const Body& body,
+      bool stop_on_reject = false);
+
   /// Installs `state` as `name` on `node` with bounded retries under one
   /// sequence number. Returns false if the node stayed unreachable.
   bool install_with_retry(std::size_t node, const std::string& name,

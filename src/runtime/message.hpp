@@ -12,6 +12,7 @@
 #include <future>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <variant>
@@ -71,47 +72,8 @@ struct InvokeResult {
   bool ok = false;
   std::string value;  ///< payload on success, error text on failure
 
+  static auto fields(auto& self) { return std::tie(self.ok, self.value); }
   friend bool operator==(const InvokeResult&, const InvokeResult&) = default;
-};
-
-/// Synchronous method invocation, answered through `reply`.
-///
-/// `seq` identifies the logical request: a retransmission (after a lost
-/// message or a crashed node) reuses the seq of the original, and the
-/// receiving node deduplicates — the method body runs at most once, the
-/// duplicate is answered from a bounded reply cache. seq 0 disables
-/// deduplication (single-delivery fast path).
-struct MsgInvoke {
-  std::string object;
-  std::string method;
-  std::string argument;
-  std::uint64_t seq = 0;
-  Reply<InvokeResult> reply;
-};
-
-/// Installs a (migrated or new) object on the receiving node. Idempotent
-/// per seq: a duplicate install of the same (name, seq) is acknowledged
-/// without rebuilding the object. With `self_entry` (sharded directory
-/// only) a successful install also records `name -> this node` in the
-/// node's directory table, so the new host needs no separate DirUpdate.
-struct MsgInstall {
-  std::string name;
-  ObjectState state;
-  std::uint64_t seq = 0;
-  bool self_entry = false;
-  Reply<bool> done;
-};
-
-/// Evicts an object: the node linearises it, removes it, and replies with
-/// the state (empty type on failure). Idempotent per seq: a duplicate
-/// evict replies with the state captured by the first delivery. With
-/// `forward_to` (sharded directory only) the node also records the
-/// forwarding entry `name -> *forward_to` in its directory table.
-struct MsgEvict {
-  std::string name;
-  std::uint64_t seq = 0;
-  std::optional<std::uint64_t> forward_to;
-  Reply<ObjectState> state;
 };
 
 /// Answer to a directory lookup: whether this node has an entry for the
@@ -120,6 +82,7 @@ struct DirReply {
   bool found = false;
   std::uint64_t node = 0;
 
+  static auto fields(auto& self) { return std::tie(self.found, self.node); }
   friend bool operator==(const DirReply&, const DirReply&) = default;
 };
 
@@ -127,33 +90,121 @@ struct DirReply {
 struct DirAck {
   bool ok = false;
 
+  static auto fields(auto& self) { return std::tie(self.ok); }
   friend bool operator==(const DirAck&, const DirAck&) = default;
+};
+
+// --- request bodies ---------------------------------------------------------
+//
+// Each request is defined once, here, and travels in this form everywhere:
+// inside a mailbox (wrapped in a Request with its reply channel) and on the
+// wire (transport/wire). `Result` names the reply type; `fields` lists the
+// members in wire order, which is all the frame codec needs to encode and
+// decode the body.
+//
+// `seq` identifies the logical request: a retransmission (after a lost
+// message or a crashed node) reuses the seq of the original, and the
+// receiving node deduplicates. seq 0 disables deduplication.
+
+/// Synchronous method invocation. The method body runs at most once per
+/// seq; a duplicate is answered from a bounded reply cache.
+struct Invoke {
+  using Result = InvokeResult;
+  std::uint64_t seq = 0;
+  std::string object;
+  std::string method;
+  std::string argument;
+
+  static auto fields(auto& self) {
+    return std::tie(self.seq, self.object, self.method, self.argument);
+  }
+  friend bool operator==(const Invoke&, const Invoke&) = default;
+};
+
+/// Installs a (migrated or new) object on the receiving node; the reply
+/// says whether it was installed. Idempotent per seq: a duplicate install
+/// of the same (name, seq) is acknowledged without rebuilding the object.
+/// With `self_entry` (sharded directory only) a successful install also
+/// records `name -> this node` in the node's directory table, so the new
+/// host needs no separate DirUpdate.
+struct Install {
+  using Result = bool;
+  std::uint64_t seq = 0;
+  std::string name;
+  ObjectState state;
+  bool self_entry = false;
+
+  static auto fields(auto& self) {
+    return std::tie(self.seq, self.name, self.state, self.self_entry);
+  }
+  friend bool operator==(const Install&, const Install&) = default;
+};
+
+/// Evicts an object: the node linearises it, removes it, and replies with
+/// the state (empty type on failure). Idempotent per seq: a duplicate
+/// evict replies with the state captured by the first delivery. With
+/// `forward_to` (sharded directory only) the node also records the
+/// forwarding entry `name -> *forward_to` in its directory table.
+struct Evict {
+  using Result = ObjectState;
+  std::uint64_t seq = 0;
+  std::string name;
+  std::optional<std::uint64_t> forward_to;
+
+  static auto fields(auto& self) {
+    return std::tie(self.seq, self.name, self.forward_to);
+  }
+  friend bool operator==(const Evict&, const Evict&) = default;
 };
 
 /// Asks this node for its directory entry for `name` — it answers from its
 /// shard slice / forwarding hints (DirectoryKind::Sharded only,
 /// docs/directory.md). Read-only and idempotent; seq is carried for
 /// symmetry with the other requests but needs no dedup.
-struct MsgDirLookup {
-  std::string name;
+struct DirLookup {
+  using Result = DirReply;
   std::uint64_t seq = 0;
-  Reply<DirReply> reply;
+  std::string name;
+
+  static auto fields(auto& self) { return std::tie(self.seq, self.name); }
+  friend bool operator==(const DirLookup&, const DirLookup&) = default;
 };
 
 /// Installs (or, with `invalidate`, drops) this node's directory entry for
-/// `name`. Idempotent: the update carries the absolute new value.
-struct MsgDirUpdate {
+/// `name`: shard-slice updates after a migration and restart re-seeding
+/// use the same message. Idempotent: the update carries the absolute new
+/// value.
+struct DirUpdate {
+  using Result = DirAck;
+  std::uint64_t seq = 0;
   std::string name;
   std::uint64_t node = 0;
   bool invalidate = false;
-  std::uint64_t seq = 0;
-  Reply<DirAck> done;
+
+  static auto fields(auto& self) {
+    return std::tie(self.seq, self.name, self.node, self.invalidate);
+  }
+  friend bool operator==(const DirUpdate&, const DirUpdate&) = default;
 };
 
-/// Stops the node's event loop.
-struct MsgStop {};
+/// Stops the node's event loop. Fire-and-forget: no reply (over the wire
+/// the peer closes the connection instead).
+struct Shutdown {
+  static auto fields(auto&) { return std::tie(); }
+  friend bool operator==(const Shutdown&, const Shutdown&) = default;
+};
 
-using Message = std::variant<MsgInvoke, MsgInstall, MsgEvict, MsgDirLookup,
-                             MsgDirUpdate, MsgStop>;
+/// A request body plus the channel its reply goes back through.
+template <class B>
+struct Request {
+  using Body = B;
+  B body;
+  Reply<typename B::Result> reply;
+};
+
+/// What a node's mailbox carries.
+using Message = std::variant<Request<Invoke>, Request<Install>,
+                             Request<Evict>, Request<DirLookup>,
+                             Request<DirUpdate>, Shutdown>;
 
 }  // namespace omig::runtime

@@ -41,40 +41,8 @@ AsyncTcpTransport::~AsyncTcpTransport() {
   if (owned_loop_) owned_loop_->stop();
 }
 
-SendStatus AsyncTcpTransport::send_invoke(
-    std::size_t from, std::size_t to, const WireInvoke& msg,
-    std::future<runtime::InvokeResult>& reply) {
-  return send_request(from, to, msg, reply);
-}
-
-SendStatus AsyncTcpTransport::send_install(std::size_t from, std::size_t to,
-                                           const WireInstall& msg,
-                                           std::future<bool>& reply) {
-  return send_request(from, to, msg, reply);
-}
-
-SendStatus AsyncTcpTransport::send_evict(
-    std::size_t from, std::size_t to, const WireEvict& msg,
-    std::future<runtime::ObjectState>& reply) {
-  return send_request(from, to, msg, reply);
-}
-
-SendStatus AsyncTcpTransport::send_dir_lookup(
-    std::size_t from, std::size_t to, const WireDirLookup& msg,
-    std::future<runtime::DirReply>& reply) {
-  return send_request(from, to, msg, reply);
-}
-
-SendStatus AsyncTcpTransport::send_dir_update(
-    std::size_t from, std::size_t to, const WireDirUpdate& msg,
-    std::future<runtime::DirAck>& reply) {
-  return send_request(from, to, msg, reply);
-}
-
-template <class WireT, class ReplyT>
 SendStatus AsyncTcpTransport::send_request(std::size_t from, std::size_t to,
-                                           const WireT& msg,
-                                           std::future<ReplyT>& reply) {
+                                           runtime::Message request) {
   if (to >= conns_.size()) return SendStatus::Unreachable;
   if (stopping_.load(std::memory_order_acquire)) {
     obs::transport_metrics().send_rejections->inc();
@@ -86,29 +54,27 @@ SendStatus AsyncTcpTransport::send_request(std::size_t from, std::size_t to,
   // blocking backend (trace parity depends on this). The delay itself
   // becomes a loop timer instead of a caller sleep.
   const fault::Decision verdict = decide(from, to);
-  if (verdict.drop) {
-    break_reply(reply);
-    return SendStatus::Ok;  // "sent", but lost in flight
-  }
+  // "Sent", but lost in flight: the request dies here, its reply breaks.
+  if (verdict.drop) return SendStatus::Ok;
   auto box = std::make_shared<Enqueue>();
   box->to = to;
+  Frame frame{0, take_body(request)};
   if (verdict.duplicate) {
     // Same-seq copy under a fresh correlation ID with no pending entry,
     // allocated before the original's ID — the order the blocking
     // backend writes them in.
-    box->dup_bytes = encode_frame(
-        Frame{next_corr_.fetch_add(1, std::memory_order_relaxed), msg});
+    frame.corr = next_corr_.fetch_add(1, std::memory_order_relaxed);
+    box->dup_bytes = encode_frame(frame);
   }
   box->corr = next_corr_.fetch_add(1, std::memory_order_relaxed);
-  box->bytes = encode_frame(Frame{box->corr, msg});
-  std::promise<ReplyT> promise;
-  reply = promise.get_future();
+  frame.corr = box->corr;
+  box->bytes = encode_frame(frame);
   if (box->bytes.size() - 4 > kMaxFramePayload) {
     obs::transport_metrics().send_rejections->inc();
-    return SendStatus::Oversized;  // promise dies here: `reply` breaks,
-                                   // the typed status is the signal
+    return SendStatus::Oversized;  // the request dies here: its reply
+                                   // breaks, the typed status is the signal
   }
-  box->promise = PendingReply{std::move(promise)};
+  box->request = std::move(request);
   post_enqueue(std::move(box), verdict.delay);
   return SendStatus::Ok;
 }
@@ -120,7 +86,7 @@ SendStatus AsyncTcpTransport::send_shutdown(std::size_t to) {
   auto box = std::make_shared<Enqueue>();
   box->to = to;
   box->corr = next_corr_.fetch_add(1, std::memory_order_relaxed);
-  box->bytes = encode_frame(Frame{box->corr, WireShutdown{}});
+  box->bytes = encode_frame(Frame{box->corr, runtime::Shutdown{}});
   std::promise<SendStatus> done;
   std::future<SendStatus> written = done.get_future();
   box->on_written = std::move(done);
@@ -155,7 +121,7 @@ void AsyncTcpTransport::post_enqueue(std::shared_ptr<Enqueue> box,
       const auto delay = std::chrono::ceil<std::chrono::milliseconds>(
           std::chrono::duration<double, std::milli>{delay_ms});
       // run_after refuses during shutdown (returns 0); the box then dies
-      // with this lambda and the reply promise breaks — lost in flight.
+      // with this lambda and the request's reply breaks — lost in flight.
       (void)loop_->run_after(delay, [this, box] { enqueue_on_loop(*box); });
     } else {
       enqueue_on_loop(*box);
@@ -164,11 +130,11 @@ void AsyncTcpTransport::post_enqueue(std::shared_ptr<Enqueue> box,
 }
 
 void AsyncTcpTransport::enqueue_on_loop(Enqueue& e) {
-  if (stopping_.load(std::memory_order_acquire)) return;  // promise breaks
+  if (stopping_.load(std::memory_order_acquire)) return;  // reply breaks
   Conn& conn = *conns_[e.to];
-  if (e.promise.has_value()) {
+  if (e.request.has_value()) {
     conn.pending.emplace(e.corr,
-                         Pending{std::move(*e.promise),
+                         Pending{std::move(*e.request),
                                  std::chrono::steady_clock::now()});
   }
   if (e.dup_bytes.has_value()) {
@@ -322,7 +288,7 @@ sim::Task AsyncTcpTransport::reader_task(AsyncTcpTransport* t, Conn* conn,
               std::chrono::steady_clock::now() - it->second.sent_at)
               .count()));
       const bool matched =
-          fulfil_pending(it->second.promise, std::move(frame->payload));
+          fulfil_pending(it->second.request, std::move(frame->payload));
       conn->pending.erase(it);
       if (!matched) {
         t->fail_conn(*conn);  // type-confused peer: drop the connection

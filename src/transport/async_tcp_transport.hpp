@@ -60,22 +60,6 @@ public:
   AsyncTcpTransport(Options options, fault::FaultInjector* injector);
   ~AsyncTcpTransport() override;
 
-  SendStatus send_invoke(std::size_t from, std::size_t to,
-                         const WireInvoke& msg,
-                         std::future<runtime::InvokeResult>& reply) override;
-  SendStatus send_install(std::size_t from, std::size_t to,
-                          const WireInstall& msg,
-                          std::future<bool>& reply) override;
-  SendStatus send_evict(std::size_t from, std::size_t to,
-                        const WireEvict& msg,
-                        std::future<runtime::ObjectState>& reply) override;
-  SendStatus send_dir_lookup(std::size_t from, std::size_t to,
-                             const WireDirLookup& msg,
-                             std::future<runtime::DirReply>& reply) override;
-  SendStatus send_dir_update(std::size_t from, std::size_t to,
-                             const WireDirUpdate& msg,
-                             std::future<runtime::DirAck>& reply) override;
-
   /// Queues the shutdown frame and waits (bounded) until it is actually
   /// on the wire — callers tearing a cluster down need the frame flushed
   /// before they start waiting for the peer process to exit.
@@ -118,20 +102,19 @@ private:
     obs::Histogram* rtt = nullptr;  ///< omig_transport_rtt_us{peer="N"}
   };
 
-  /// Everything one send ships to the loop. Dropped whole (promise
+  /// Everything one send ships to the loop. Dropped whole (the reply
   /// breaks) if the loop stops before the enqueue runs.
   struct Enqueue {
     std::size_t to = 0;
     std::uint64_t corr = 0;
     std::vector<std::uint8_t> bytes;
     std::optional<std::vector<std::uint8_t>> dup_bytes;
-    std::optional<PendingReply> promise;               // requests
+    std::optional<runtime::Message> request;           // requests
     std::optional<std::promise<SendStatus>> on_written;  // shutdown
   };
 
-  template <class WireT, class ReplyT>
-  SendStatus send_request(std::size_t from, std::size_t to, const WireT& msg,
-                          std::future<ReplyT>& reply);
+  SendStatus send_request(std::size_t from, std::size_t to,
+                          runtime::Message request) override;
   void post_enqueue(std::shared_ptr<Enqueue> box, double delay_ms);
   void enqueue_on_loop(Enqueue& e);
   void ensure_conn_active(Conn& conn);

@@ -1,13 +1,12 @@
 // Bridges wire frames onto a live node's mailbox.
 //
-// The server side of the TCP backend: a request frame is rebuilt into the
-// runtime::Message the node loop already understands, with a callback
-// reply channel in place of a promise, and pushed into the mailbox. The
-// call returns at once; when the node thread answers, the callback
-// marshals the value into the reply frame quoting the request's
-// correlation ID and hands it to the Responder. Node semantics —
-// at-most-once dedup, reply caches, crash behaviour — stay in LiveNode;
-// the bridge only translates.
+// The server side of the socket backends: a request frame's body becomes
+// a runtime::Request — the same body, with a callback reply channel in
+// place of a promise — and is pushed into the mailbox. The call returns at
+// once; when the node thread answers, the callback sends the Answer frame
+// quoting the request's correlation ID through the Responder. Node
+// semantics — at-most-once dedup, reply caches, crash behaviour — stay in
+// LiveNode; the bridge only translates.
 #pragma once
 
 #include "runtime/mailbox.hpp"

@@ -1,15 +1,16 @@
 // Correlation-ID reply matching, shared by the socket transports.
 //
-// A request sent over a socket parks a typed std::promise keyed by its
-// correlation ID; the peer's reply frame is matched back by ID and must
-// carry the reply type the sender awaits. Both the blocking TcpTransport
-// (one demux thread per connection) and AsyncTcpTransport (one demux
-// coroutine per connection) use this table — the demux logic is identical,
-// only the execution model differs.
+// A request sent over a socket leaves its body on the wire and parks the
+// rest of its runtime::Message — the Reply channel — keyed by its
+// correlation ID; the peer's Answer frame is matched back by ID and must
+// answer the request's own body type. Both the blocking TcpTransport (one
+// demux thread per connection) and AsyncTcpTransport (one demux coroutine
+// per connection) use this table — the demux logic is identical, only the
+// execution model differs.
 #pragma once
 
 #include <chrono>
-#include <future>
+#include <type_traits>
 #include <utility>
 #include <variant>
 
@@ -18,53 +19,47 @@
 
 namespace omig::transport {
 
-using PendingReply = std::variant<std::promise<runtime::InvokeResult>,
-                                  std::promise<bool>,
-                                  std::promise<runtime::ObjectState>,
-                                  std::promise<runtime::DirReply>,
-                                  std::promise<runtime::DirAck>>;
-
 /// A reply someone awaits, stamped at send time so the demux can record
 /// the request/reply round trip into the peer's RTT histogram.
 struct Pending {
-  PendingReply promise;
+  runtime::Message request;  ///< body already taken; only `reply` is live
   std::chrono::steady_clock::time_point sent_at;
 };
 
-/// Fulfils one pending reply from a reply frame's payload. Returns false
-/// when the reply type does not match what the sender awaits — a protocol
-/// violation that costs the peer its connection.
-inline bool fulfil_pending(PendingReply& pending, Frame::Payload&& payload) {
-  if (auto* invoke =
-          std::get_if<std::promise<runtime::InvokeResult>>(&pending)) {
-    auto* reply = std::get_if<WireInvokeReply>(&payload);
-    if (reply == nullptr) return false;
-    invoke->set_value(std::move(reply->result));
-    return true;
-  }
-  if (auto* install = std::get_if<std::promise<bool>>(&pending)) {
-    auto* reply = std::get_if<WireInstallReply>(&payload);
-    if (reply == nullptr) return false;
-    install->set_value(reply->ok);
-    return true;
-  }
-  if (auto* lookup = std::get_if<std::promise<runtime::DirReply>>(&pending)) {
-    auto* reply = std::get_if<WireDirLookupReply>(&payload);
-    if (reply == nullptr) return false;
-    lookup->set_value(runtime::DirReply{reply->found, reply->node});
-    return true;
-  }
-  if (auto* update = std::get_if<std::promise<runtime::DirAck>>(&pending)) {
-    auto* reply = std::get_if<WireDirUpdateReply>(&payload);
-    if (reply == nullptr) return false;
-    update->set_value(runtime::DirAck{reply->ok});
-    return true;
-  }
-  auto& evict = std::get<std::promise<runtime::ObjectState>>(pending);
-  auto* reply = std::get_if<WireEvictReply>(&payload);
-  if (reply == nullptr) return false;
-  evict.set_value(std::move(reply->state));
-  return true;
+/// Moves the body of `message` into a frame payload, leaving the message
+/// holding just its reply channel.
+inline Frame::Payload take_body(runtime::Message& message) {
+  return std::visit(
+      [](auto& m) -> Frame::Payload {
+        if constexpr (std::is_same_v<std::decay_t<decltype(m)>,
+                                     runtime::Shutdown>) {
+          return m;
+        } else {
+          return std::move(m.body);
+        }
+      },
+      message);
+}
+
+/// Fulfils a pending request from a reply frame's payload. Returns false
+/// when the payload is not the Answer to that request's body type — a
+/// protocol violation that costs the peer its connection (the request's
+/// reply then breaks as the entry is erased).
+inline bool fulfil_pending(runtime::Message& request,
+                           Frame::Payload&& payload) {
+  return std::visit(
+      [&payload](auto& m) {
+        using M = std::decay_t<decltype(m)>;
+        if constexpr (std::is_same_v<M, runtime::Shutdown>) {
+          return false;  // never parked: a shutdown has no reply
+        } else {
+          auto* answer = std::get_if<Answer<typename M::Body>>(&payload);
+          if (answer == nullptr) return false;
+          m.reply.set_value(std::move(answer->value));
+          return true;
+        }
+      },
+      request);
 }
 
 }  // namespace omig::transport

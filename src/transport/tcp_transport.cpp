@@ -34,36 +34,6 @@ TcpTransport::~TcpTransport() {
   }
 }
 
-SendStatus TcpTransport::send_invoke(std::size_t from, std::size_t to,
-                                     const WireInvoke& msg,
-                                     std::future<runtime::InvokeResult>& reply) {
-  return send_request(from, to, msg, reply);
-}
-
-SendStatus TcpTransport::send_install(std::size_t from, std::size_t to,
-                                      const WireInstall& msg,
-                                      std::future<bool>& reply) {
-  return send_request(from, to, msg, reply);
-}
-
-SendStatus TcpTransport::send_evict(std::size_t from, std::size_t to,
-                                    const WireEvict& msg,
-                                    std::future<runtime::ObjectState>& reply) {
-  return send_request(from, to, msg, reply);
-}
-
-SendStatus TcpTransport::send_dir_lookup(
-    std::size_t from, std::size_t to, const WireDirLookup& msg,
-    std::future<runtime::DirReply>& reply) {
-  return send_request(from, to, msg, reply);
-}
-
-SendStatus TcpTransport::send_dir_update(
-    std::size_t from, std::size_t to, const WireDirUpdate& msg,
-    std::future<runtime::DirAck>& reply) {
-  return send_request(from, to, msg, reply);
-}
-
 SendStatus TcpTransport::send_shutdown(std::size_t to) {
   if (to >= conns_.size()) return SendStatus::Unreachable;
   Conn& conn = *conns_[to];
@@ -72,7 +42,7 @@ SendStatus TcpTransport::send_shutdown(std::size_t to) {
   const std::uint64_t corr =
       next_corr_.fetch_add(1, std::memory_order_relaxed);
   const SendStatus status =
-      write_frame_locked(conn, Frame{corr, WireShutdown{}});
+      write_frame_locked(conn, Frame{corr, runtime::Shutdown{}});
   if (status == SendStatus::Closed) disconnect_locked(conn);
   return status;
 }
@@ -90,10 +60,8 @@ void TcpTransport::set_peer(std::size_t node, Peer peer) {
   conns_[node]->peer = std::move(peer);
 }
 
-template <class WireT, class ReplyT>
 SendStatus TcpTransport::send_request(std::size_t from, std::size_t to,
-                                      const WireT& msg,
-                                      std::future<ReplyT>& reply) {
+                                      runtime::Message request) {
   if (to >= conns_.size()) return SendStatus::Unreachable;
   // Same verdict order as the in-process backend: delay, drop, duplicate.
   const fault::Decision verdict = decide(from, to);
@@ -101,30 +69,27 @@ SendStatus TcpTransport::send_request(std::size_t from, std::size_t to,
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::milli>{verdict.delay});
   }
-  if (verdict.drop) {
-    break_reply(reply);
-    return SendStatus::Ok;  // "sent", but lost in flight
-  }
+  // "Sent", but lost in flight: the request dies here, its reply breaks.
+  if (verdict.drop) return SendStatus::Ok;
   Conn& conn = *conns_[to];
   std::unique_lock lock{conn.mutex};
   if (!ensure_connected(lock, conn)) {
     obs::transport_metrics().send_rejections->inc();
     return SendStatus::Unreachable;
   }
+  Frame frame{0, take_body(request)};
   if (verdict.duplicate) {
     // Same-seq copy under a fresh correlation ID with no pending entry:
     // the peer's dedup layer answers it, and the answer is discarded.
-    (void)write_frame_locked(
-        conn,
-        Frame{next_corr_.fetch_add(1, std::memory_order_relaxed), msg});
+    frame.corr = next_corr_.fetch_add(1, std::memory_order_relaxed);
+    (void)write_frame_locked(conn, frame);
   }
   const std::uint64_t corr =
       next_corr_.fetch_add(1, std::memory_order_relaxed);
-  std::promise<ReplyT> promise;
-  reply = promise.get_future();
-  conn.pending.emplace(corr, Pending{PendingReply{std::move(promise)},
-                                     std::chrono::steady_clock::now()});
-  const SendStatus status = write_frame_locked(conn, Frame{corr, msg});
+  frame.corr = corr;
+  conn.pending.emplace(
+      corr, Pending{std::move(request), std::chrono::steady_clock::now()});
+  const SendStatus status = write_frame_locked(conn, frame);
   if (status == SendStatus::Ok) return SendStatus::Ok;
   if (status == SendStatus::Oversized) {
     conn.pending.erase(corr);  // breaks `reply`; the link stays healthy
@@ -250,7 +215,7 @@ void TcpTransport::reader_loop(Conn& conn, int fd, std::uint64_t generation) {
               std::chrono::steady_clock::now() - it->second.sent_at)
               .count()));
       const bool matched =
-          fulfil_pending(it->second.promise, std::move(frame->payload));
+          fulfil_pending(it->second.request, std::move(frame->payload));
       conn.pending.erase(it);
       if (!matched) {
         healthy = false;  // type-confused peer: drop the connection

@@ -24,7 +24,6 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
-#include <variant>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -47,21 +46,6 @@ public:
   TcpTransport(Options options, fault::FaultInjector* injector);
   ~TcpTransport() override;
 
-  SendStatus send_invoke(std::size_t from, std::size_t to,
-                         const WireInvoke& msg,
-                         std::future<runtime::InvokeResult>& reply) override;
-  SendStatus send_install(std::size_t from, std::size_t to,
-                          const WireInstall& msg,
-                          std::future<bool>& reply) override;
-  SendStatus send_evict(std::size_t from, std::size_t to,
-                        const WireEvict& msg,
-                        std::future<runtime::ObjectState>& reply) override;
-  SendStatus send_dir_lookup(std::size_t from, std::size_t to,
-                             const WireDirLookup& msg,
-                             std::future<runtime::DirReply>& reply) override;
-  SendStatus send_dir_update(std::size_t from, std::size_t to,
-                             const WireDirUpdate& msg,
-                             std::future<runtime::DirAck>& reply) override;
   SendStatus send_shutdown(std::size_t to) override;
 
   /// Crash notification: reset the connection so pending replies break now
@@ -96,9 +80,8 @@ private:
     obs::Histogram* rtt = nullptr;  ///< omig_transport_rtt_us{peer="N"}
   };
 
-  template <class WireT, class ReplyT>
-  SendStatus send_request(std::size_t from, std::size_t to, const WireT& msg,
-                          std::future<ReplyT>& reply);
+  SendStatus send_request(std::size_t from, std::size_t to,
+                          runtime::Message request) override;
 
   /// Connects (with backoff) if the link is down; reaps a finished reader
   /// first. `lock` must hold conn.mutex and still holds it on return.

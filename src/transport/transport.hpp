@@ -2,26 +2,30 @@
 //
 // Walker et al. (PAPERS.md) argue transmission policy belongs behind a
 // clean transport boundary; this is that boundary for the live runtime.
-// The system layer (runtime/live_system) speaks typed requests — invoke,
-// install, evict — and receives typed futures; *how* a request reaches the
-// hosting node is the backend's business:
+// The system layer (runtime/live_system) hands over a request — one of the
+// bodies in runtime/message.hpp — and receives a typed future for its
+// reply; *how* the request reaches the hosting node is the backend's
+// business, behind one entry point per backend:
 //
-//   InProcTransport  — today's mailbox semantics, bit for bit: the request
-//                      becomes a runtime::Message carrying a std::promise
-//                      and lands in the destination node's mailbox.
-//   TcpTransport     — the request is marshalled into a wire frame
-//                      (transport/wire) and sent over a localhost socket;
-//                      a correlation ID matches the reply frame back to
-//                      the caller's future. Peers may live in the same
-//                      process (NodeServer bridging to a mailbox) or in
-//                      separate omig_node processes.
+//   InProcTransport   — the request, with a promise reply, lands in the
+//                       destination node's mailbox as it is.
+//   TcpTransport      — the body is encoded into a wire frame
+//                       (transport/wire) and written to a localhost socket
+//                       by the calling thread; one reader thread per peer
+//                       matches the reply frame back to the caller's
+//                       future by correlation ID. Peers may live in the
+//                       same process (NodeServer bridging to a mailbox)
+//                       or in separate omig_node processes.
+//   AsyncTcpTransport — the same frames and correlation, but every
+//                       socket is driven by one net::EventLoop: the caller
+//                       encodes, the loop connects, writes and reads.
 //
 // Fault injection lives at this seam: every send consults the shared
-// fault::FaultInjector, so one FaultPlan drives both backends — drops
-// break the reply future (the in-flight loss the retry layer observes),
-// delays stall the sending thread, duplicates travel as same-seq copies
-// whose replies nobody awaits, and a crashed peer manifests as a typed
-// send rejection (closed mailbox / connection reset).
+// fault::FaultInjector, so one FaultPlan drives every backend — a drop
+// destroys the request, which breaks its reply future (the in-flight loss
+// the retry layer observes), delays stall the send, duplicates travel as
+// same-seq copies whose replies nobody awaits, and a crashed peer
+// manifests as a typed send rejection (closed mailbox / connection reset).
 //
 // Send failures are explicit: SendStatus tells the retry/backoff layer
 // *that* and *why* an endpoint rejected a message, instead of making it
@@ -61,29 +65,21 @@ class Transport {
 public:
   virtual ~Transport() = default;
 
-  /// Sends a request towards node `to`. On SendStatus::Ok the matching
-  /// `reply` future is armed; it is fulfilled by the peer's answer or
-  /// broken (std::future_error) when the message or its node dies.
-  /// `from` is the sending node (or the system layer's external-sender
-  /// sentinel) — it only feeds the fault injector's link matching.
-  virtual SendStatus send_invoke(std::size_t from, std::size_t to,
-                                 const WireInvoke& msg,
-                                 std::future<runtime::InvokeResult>& reply) = 0;
-  virtual SendStatus send_install(std::size_t from, std::size_t to,
-                                  const WireInstall& msg,
-                                  std::future<bool>& reply) = 0;
-  virtual SendStatus send_evict(std::size_t from, std::size_t to,
-                                const WireEvict& msg,
-                                std::future<runtime::ObjectState>& reply) = 0;
-  virtual SendStatus send_dir_lookup(std::size_t from, std::size_t to,
-                                     const WireDirLookup& msg,
-                                     std::future<runtime::DirReply>& reply) = 0;
-  virtual SendStatus send_dir_update(std::size_t from, std::size_t to,
-                                     const WireDirUpdate& msg,
-                                     std::future<runtime::DirAck>& reply) = 0;
+  /// Sends a request with body `body` towards node `to`. On SendStatus::Ok
+  /// `reply` is armed; it is fulfilled by the peer's answer or broken
+  /// (std::future_error) when the message or its node dies. `from` is the
+  /// sending node (or the system layer's external-sender sentinel) — it
+  /// only feeds the fault injector's link matching.
+  template <class Body>
+  SendStatus send(std::size_t from, std::size_t to, Body body,
+                  std::future<typename Body::Result>& reply) {
+    runtime::Request<Body> request{std::move(body), {}};
+    reply = request.reply.get_future();
+    return send_request(from, to, runtime::Message{std::move(request)});
+  }
 
-  /// Fire-and-forget stop request (multi-process mode; in-proc this is a
-  /// MsgStop). No reply: a TCP peer simply closes the connection.
+  /// Fire-and-forget stop request (runtime::Shutdown). No reply: a TCP
+  /// peer simply closes the connection.
   virtual SendStatus send_shutdown(std::size_t to) = 0;
 
   /// Lifecycle notifications from the system layer, so a backend can drop
@@ -95,17 +91,16 @@ public:
 protected:
   explicit Transport(fault::FaultInjector* injector) : injector_{injector} {}
 
+  /// The backend's one request path. `request` holds a runtime::Request
+  /// (never a Shutdown) with a promise reply whose future the caller
+  /// already holds: destroying the request unanswered — an injected drop,
+  /// a rejected send, a dead link — is what breaks that future.
+  virtual SendStatus send_request(std::size_t from, std::size_t to,
+                                  runtime::Message request) = 0;
+
   /// Per-message verdict from the shared injector (no-fault default).
   [[nodiscard]] fault::Decision decide(std::size_t from, std::size_t to) {
     return injector_ ? injector_->on_message(from, to) : fault::Decision{};
-  }
-
-  /// Arms `reply` with a future whose promise is already gone — the
-  /// canonical "lost in flight" signal the retry layer knows how to read.
-  template <class T>
-  static void break_reply(std::future<T>& reply) {
-    std::promise<T> abandoned;
-    reply = abandoned.get_future();
   }
 
 private:
@@ -129,9 +124,9 @@ protected:
   using Transport::Transport;
 };
 
-/// The original in-process backend: requests become promise-carrying
-/// runtime::Messages pushed straight into the destination node's mailbox.
-/// Mailbox rejections map to SendStatus::Closed.
+/// The original in-process backend: requests are pushed, promise replies
+/// and all, straight into the destination node's mailbox. Mailbox
+/// rejections map to SendStatus::Closed.
 class InProcTransport final : public Transport {
 public:
   /// `mailboxes` resolves a node index to its (possibly crashed) mailbox;
@@ -142,27 +137,11 @@ public:
   InProcTransport(MailboxLookup mailboxes, fault::FaultInjector* injector)
       : Transport{injector}, mailboxes_{std::move(mailboxes)} {}
 
-  SendStatus send_invoke(std::size_t from, std::size_t to,
-                         const WireInvoke& msg,
-                         std::future<runtime::InvokeResult>& reply) override;
-  SendStatus send_install(std::size_t from, std::size_t to,
-                          const WireInstall& msg,
-                          std::future<bool>& reply) override;
-  SendStatus send_evict(std::size_t from, std::size_t to,
-                        const WireEvict& msg,
-                        std::future<runtime::ObjectState>& reply) override;
-  SendStatus send_dir_lookup(std::size_t from, std::size_t to,
-                             const WireDirLookup& msg,
-                             std::future<runtime::DirReply>& reply) override;
-  SendStatus send_dir_update(std::size_t from, std::size_t to,
-                             const WireDirUpdate& msg,
-                             std::future<runtime::DirAck>& reply) override;
   SendStatus send_shutdown(std::size_t to) override;
 
 private:
-  template <class WireT, class ReplyT>
-  SendStatus send_request(std::size_t from, std::size_t to, const WireT& msg,
-                          std::future<ReplyT>& reply);
+  SendStatus send_request(std::size_t from, std::size_t to,
+                          runtime::Message request) override;
 
   MailboxLookup mailboxes_;
 };

@@ -1,119 +1,72 @@
 #include "transport/wire.hpp"
 
 #include "runtime/serde.hpp"
+#include "util/byte_codec.hpp"
 
 namespace omig::transport {
 
 namespace {
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
+using util::ByteReader;
+using util::Bytes;
+
+// --- field codec ------------------------------------------------------------
+// One put/get pair per field type; a body (or an Answer's value) is encoded
+// as its `fields` in order.
+
+void put(Bytes& out, bool v) { util::put_bool(out, v); }
+void put(Bytes& out, std::uint64_t v) { util::put_u64(out, v); }
+void put(Bytes& out, const std::string& s) { util::put_str(out, s); }
+
+void put(Bytes& out, const std::optional<std::uint64_t>& v) {
+  util::put_bool(out, v.has_value());
+  if (v.has_value()) util::put_u64(out, *v);
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-void put_bool(std::vector<std::uint8_t>& out, bool v) {
-  out.push_back(v ? 1 : 0);
-}
-
-void put_opt_u64(std::vector<std::uint8_t>& out,
-                 const std::optional<std::uint64_t>& v) {
-  put_bool(out, v.has_value());
-  if (v.has_value()) put_u64(out, *v);
-}
-
-void put_state(std::vector<std::uint8_t>& out,
-               const runtime::ObjectState& state) {
+void put(Bytes& out, const runtime::ObjectState& state) {
   // Embedded as a serde blob: the object codec lives in runtime/serde only.
-  const std::vector<std::uint8_t> blob = runtime::encode(state);
-  put_u32(out, static_cast<std::uint32_t>(blob.size()));
-  out.insert(out.end(), blob.begin(), blob.end());
+  util::put_bytes(out, runtime::encode(state));
 }
 
-/// Strict cursor over one frame payload; mirrors runtime/serde's Reader.
-class Reader {
-public:
-  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_{bytes} {}
+template <class T>
+void put(Bytes& out, const T& body) {
+  std::apply([&out](const auto&... field) { (put(out, field), ...); },
+             T::fields(body));
+}
 
-  bool read_u8(std::uint8_t& out) {
-    if (bytes_.size() - pos_ < 1) return false;
-    out = bytes_[pos_++];
+void get(ByteReader& in, bool& v) { v = in.flag(); }
+void get(ByteReader& in, std::uint64_t& v) { v = in.u64(); }
+void get(ByteReader& in, std::string& s) { s = in.str(); }
+
+void get(ByteReader& in, std::optional<std::uint64_t>& v) {
+  v.reset();
+  if (in.flag()) v = in.u64();
+}
+
+void get(ByteReader& in, runtime::ObjectState& state) {
+  auto decoded = runtime::decode(in.chunk());
+  if (!in.ok()) return;
+  if (!decoded.has_value()) return in.fail();
+  state = std::move(*decoded);
+}
+
+template <class T>
+void get(ByteReader& in, T& body) {
+  std::apply([&in](auto&... field) { (get(in, field), ...); },
+             T::fields(body));
+}
+
+/// Decodes the body of Payload alternative `index` (FrameType - 1).
+template <std::size_t I = 0>
+bool get_payload(std::size_t index, ByteReader& in, Frame::Payload& out) {
+  if constexpr (I == std::variant_size_v<Frame::Payload>) {
+    return false;  // unknown frame type
+  } else {
+    if (index != I) return get_payload<I + 1>(index, in, out);
+    get(in, out.emplace<I>());
     return true;
   }
-
-  bool read_u32(std::uint32_t& out) {
-    if (bytes_.size() - pos_ < 4) return false;
-    out = static_cast<std::uint32_t>(bytes_[pos_]) |
-          static_cast<std::uint32_t>(bytes_[pos_ + 1]) << 8 |
-          static_cast<std::uint32_t>(bytes_[pos_ + 2]) << 16 |
-          static_cast<std::uint32_t>(bytes_[pos_ + 3]) << 24;
-    pos_ += 4;
-    return true;
-  }
-
-  bool read_u64(std::uint64_t& out) {
-    std::uint32_t lo = 0, hi = 0;
-    if (!read_u32(lo) || !read_u32(hi)) return false;
-    out = static_cast<std::uint64_t>(hi) << 32 | lo;
-    return true;
-  }
-
-  /// A flag byte: 0 or 1, anything else is malformed.
-  bool read_bool(bool& out) {
-    std::uint8_t byte = 0;
-    if (!read_u8(byte) || byte > 1) return false;
-    out = byte == 1;
-    return true;
-  }
-
-  bool read_opt_u64(std::optional<std::uint64_t>& out) {
-    bool present = false;
-    if (!read_bool(present)) return false;
-    out.reset();
-    if (!present) return true;
-    std::uint64_t v = 0;
-    if (!read_u64(v)) return false;
-    out = v;
-    return true;
-  }
-
-  bool read_str(std::string& out) {
-    std::uint32_t len = 0;
-    if (!read_u32(len)) return false;
-    if (bytes_.size() - pos_ < len) return false;
-    out.assign(reinterpret_cast<const char*>(bytes_.data() + pos_), len);
-    pos_ += len;
-    return true;
-  }
-
-  bool read_state(runtime::ObjectState& out) {
-    std::uint32_t len = 0;
-    if (!read_u32(len)) return false;
-    if (bytes_.size() - pos_ < len) return false;
-    auto decoded = runtime::decode(bytes_.subspan(pos_, len));
-    if (!decoded.has_value()) return false;
-    out = std::move(*decoded);
-    pos_ += len;
-    return true;
-  }
-
-  [[nodiscard]] bool exhausted() const { return pos_ == bytes_.size(); }
-
-private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
+}
 
 }  // namespace
 
@@ -151,149 +104,29 @@ FrameType Frame::type() const {
 }
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame) {
-  std::vector<std::uint8_t> out;
-  put_u32(out, 0);  // length prefix, patched below
-  out.push_back(kWireVersion);
-  out.push_back(static_cast<std::uint8_t>(frame.type()));
-  put_u64(out, frame.corr);
-  std::visit(
-      [&](const auto& body) {
-        using T = std::decay_t<decltype(body)>;
-        if constexpr (std::is_same_v<T, WireInvoke>) {
-          put_u64(out, body.seq);
-          put_str(out, body.object);
-          put_str(out, body.method);
-          put_str(out, body.argument);
-        } else if constexpr (std::is_same_v<T, WireInstall>) {
-          put_u64(out, body.seq);
-          put_str(out, body.name);
-          put_state(out, body.state);
-          put_bool(out, body.self_entry);
-        } else if constexpr (std::is_same_v<T, WireEvict>) {
-          put_u64(out, body.seq);
-          put_str(out, body.name);
-          put_opt_u64(out, body.forward_to);
-        } else if constexpr (std::is_same_v<T, WireShutdown>) {
-          // no body
-        } else if constexpr (std::is_same_v<T, WireInvokeReply>) {
-          put_bool(out, body.result.ok);
-          put_str(out, body.result.value);
-        } else if constexpr (std::is_same_v<T, WireInstallReply>) {
-          put_bool(out, body.ok);
-        } else if constexpr (std::is_same_v<T, WireEvictReply>) {
-          put_state(out, body.state);
-        } else if constexpr (std::is_same_v<T, WireDirLookup>) {
-          put_u64(out, body.seq);
-          put_str(out, body.name);
-        } else if constexpr (std::is_same_v<T, WireDirUpdate>) {
-          put_u64(out, body.seq);
-          put_str(out, body.name);
-          put_u64(out, body.node);
-          put_bool(out, body.invalidate);
-        } else if constexpr (std::is_same_v<T, WireDirLookupReply>) {
-          put_bool(out, body.found);
-          put_u64(out, body.node);
-        } else if constexpr (std::is_same_v<T, WireDirUpdateReply>) {
-          put_bool(out, body.ok);
-        }
-      },
-      frame.payload);
+  Bytes out;
+  util::put_u32(out, 0);  // length prefix, patched below
+  util::put_u8(out, kWireVersion);
+  util::put_u8(out, static_cast<std::uint8_t>(frame.type()));
+  util::put_u64(out, frame.corr);
+  std::visit([&out](const auto& body) { put(out, body); }, frame.payload);
   // Not clamped to kMaxFramePayload here: the sender turns an oversized
   // encoding into a typed SendStatus, and receivers reject the length.
-  const auto len = static_cast<std::uint32_t>(out.size() - 4);
-  out[0] = static_cast<std::uint8_t>(len);
-  out[1] = static_cast<std::uint8_t>(len >> 8);
-  out[2] = static_cast<std::uint8_t>(len >> 16);
-  out[3] = static_cast<std::uint8_t>(len >> 24);
+  util::store_u32(out.data(), static_cast<std::uint32_t>(out.size() - 4));
   return out;
 }
 
 std::optional<Frame> decode_payload(std::span<const std::uint8_t> payload) {
-  Reader reader{payload};
-  std::uint8_t version = 0;
-  std::uint8_t type = 0;
+  ByteReader in{payload};
+  const std::uint8_t version = in.u8();
+  const std::uint8_t type = in.u8();
   Frame frame;
-  if (!reader.read_u8(version) || !reader.read_u8(type) ||
-      !reader.read_u64(frame.corr)) {
-    return std::nullopt;
+  frame.corr = in.u64();
+  if (!in.ok() || version != kWireVersion) return std::nullopt;
+  if (type == 0 || !get_payload(type - 1u, in, frame.payload)) {
+    return std::nullopt;  // unknown frame type
   }
-  if (version != kWireVersion) return std::nullopt;
-  bool ok = false;
-  switch (static_cast<FrameType>(type)) {
-    case FrameType::Invoke: {
-      WireInvoke body;
-      ok = reader.read_u64(body.seq) && reader.read_str(body.object) &&
-           reader.read_str(body.method) && reader.read_str(body.argument);
-      frame.payload = std::move(body);
-      break;
-    }
-    case FrameType::Install: {
-      WireInstall body;
-      ok = reader.read_u64(body.seq) && reader.read_str(body.name) &&
-           reader.read_state(body.state) && reader.read_bool(body.self_entry);
-      frame.payload = std::move(body);
-      break;
-    }
-    case FrameType::Evict: {
-      WireEvict body;
-      ok = reader.read_u64(body.seq) && reader.read_str(body.name) &&
-           reader.read_opt_u64(body.forward_to);
-      frame.payload = std::move(body);
-      break;
-    }
-    case FrameType::Shutdown: {
-      frame.payload = WireShutdown{};
-      ok = true;
-      break;
-    }
-    case FrameType::InvokeReply: {
-      WireInvokeReply body;
-      ok = reader.read_bool(body.result.ok) &&
-           reader.read_str(body.result.value);
-      frame.payload = std::move(body);
-      break;
-    }
-    case FrameType::InstallReply: {
-      WireInstallReply body;
-      ok = reader.read_bool(body.ok);
-      frame.payload = body;
-      break;
-    }
-    case FrameType::EvictReply: {
-      WireEvictReply body;
-      ok = reader.read_state(body.state);
-      frame.payload = std::move(body);
-      break;
-    }
-    case FrameType::DirLookup: {
-      WireDirLookup body;
-      ok = reader.read_u64(body.seq) && reader.read_str(body.name);
-      frame.payload = std::move(body);
-      break;
-    }
-    case FrameType::DirUpdate: {
-      WireDirUpdate body;
-      ok = reader.read_u64(body.seq) && reader.read_str(body.name) &&
-           reader.read_u64(body.node) && reader.read_bool(body.invalidate);
-      frame.payload = std::move(body);
-      break;
-    }
-    case FrameType::DirLookupReply: {
-      WireDirLookupReply body;
-      ok = reader.read_bool(body.found) && reader.read_u64(body.node);
-      frame.payload = body;
-      break;
-    }
-    case FrameType::DirUpdateReply: {
-      WireDirUpdateReply body;
-      ok = reader.read_bool(body.ok);
-      frame.payload = body;
-      break;
-    }
-    default:
-      return std::nullopt;  // unknown frame type
-  }
-  if (!ok || !reader.exhausted()) return std::nullopt;  // trailing garbage
+  if (!in.done()) return std::nullopt;  // malformed body or trailing garbage
   return frame;
 }
 
@@ -312,11 +145,7 @@ void FrameBuffer::feed(std::span<const std::uint8_t> bytes) {
 std::optional<Frame> FrameBuffer::next() {
   if (error_) return std::nullopt;
   if (buffered() < 4) return std::nullopt;
-  const std::uint8_t* p = buffer_.data() + pos_;
-  const std::uint32_t len = static_cast<std::uint32_t>(p[0]) |
-                            static_cast<std::uint32_t>(p[1]) << 8 |
-                            static_cast<std::uint32_t>(p[2]) << 16 |
-                            static_cast<std::uint32_t>(p[3]) << 24;
+  const std::uint32_t len = util::load_u32(buffer_.data() + pos_);
   if (len > kMaxFramePayload) {
     error_ = true;  // oversized length: framing is lost for good
     return std::nullopt;
@@ -330,46 +159,6 @@ std::optional<Frame> FrameBuffer::next() {
   }
   pos_ += 4 + static_cast<std::size_t>(len);
   return frame;
-}
-
-runtime::Message to_message(WireInvoke w,
-                            runtime::Reply<runtime::InvokeResult> reply) {
-  return runtime::MsgInvoke{.object = std::move(w.object),
-                            .method = std::move(w.method),
-                            .argument = std::move(w.argument),
-                            .seq = w.seq,
-                            .reply = std::move(reply)};
-}
-
-runtime::Message to_message(WireInstall w, runtime::Reply<bool> reply) {
-  return runtime::MsgInstall{.name = std::move(w.name),
-                             .state = std::move(w.state),
-                             .seq = w.seq,
-                             .self_entry = w.self_entry,
-                             .done = std::move(reply)};
-}
-
-runtime::Message to_message(WireEvict w,
-                            runtime::Reply<runtime::ObjectState> reply) {
-  return runtime::MsgEvict{.name = std::move(w.name),
-                           .seq = w.seq,
-                           .forward_to = w.forward_to,
-                           .state = std::move(reply)};
-}
-
-runtime::Message to_message(WireDirLookup w,
-                            runtime::Reply<runtime::DirReply> reply) {
-  return runtime::MsgDirLookup{
-      .name = std::move(w.name), .seq = w.seq, .reply = std::move(reply)};
-}
-
-runtime::Message to_message(WireDirUpdate w,
-                            runtime::Reply<runtime::DirAck> reply) {
-  return runtime::MsgDirUpdate{.name = std::move(w.name),
-                               .node = w.node,
-                               .invalidate = w.invalidate,
-                               .seq = w.seq,
-                               .done = std::move(reply)};
 }
 
 }  // namespace omig::transport

@@ -173,10 +173,10 @@ protected:
 
   void record(std::size_t to, const transport::Frame& frame) {
     Seen seen{frame.type(), to, std::nullopt, false};
-    if (const auto* e = std::get_if<transport::WireEvict>(&frame.payload)) {
+    if (const auto* e = std::get_if<runtime::Evict>(&frame.payload)) {
       seen.forward_to = e->forward_to;
     }
-    if (const auto* i = std::get_if<transport::WireInstall>(&frame.payload)) {
+    if (const auto* i = std::get_if<runtime::Install>(&frame.payload)) {
       seen.self_entry = i->self_entry;
     }
     std::lock_guard lock{mutex_};

@@ -37,6 +37,8 @@ namespace omig::transport {
 namespace {
 
 using namespace std::chrono_literals;
+using runtime::Install;
+using runtime::Invoke;
 
 constexpr std::size_t kSender = 99;
 
@@ -93,7 +95,7 @@ private:
 
 Frame invoke_frame(std::uint64_t corr, const std::string& object,
                    const std::string& method, const std::string& argument) {
-  WireInvoke body;
+  Invoke body;
   body.seq = corr;
   body.object = object;
   body.method = method;
@@ -102,7 +104,7 @@ Frame invoke_frame(std::uint64_t corr, const std::string& object,
 }
 
 Frame echo_reply(std::uint64_t corr, const std::string& value) {
-  return Frame{corr, WireInvokeReply{runtime::InvokeResult{true, value}}};
+  return Frame{corr, Answer<Invoke>{runtime::InvokeResult{true, value}}};
 }
 
 std::size_t open_fd_count() {
@@ -120,7 +122,7 @@ class ParkingHandler {
 public:
   NodeServer::Handler handler() {
     return [this](Frame frame, NodeServer::Responder respond) {
-      const auto* invoke = std::get_if<WireInvoke>(&frame.payload);
+      const auto* invoke = std::get_if<Invoke>(&frame.payload);
       if (invoke == nullptr) return;
       if (invoke->argument == "now") {
         respond.send(echo_reply(frame.corr, "now"));
@@ -158,11 +160,8 @@ public:
     std::promise<void> entered;
     std::future<void> inside = entered.get_future();
     std::shared_future<void> gate = gate_.get_future().share();
-    runtime::MsgInvoke stall{
-        .object = "stall",
-        .method = "get",
-        .argument = "",
-        .seq = 0,
+    runtime::Request<Invoke> stall{
+        .body = {.seq = 0, .object = "stall", .method = "get", .argument = ""},
         .reply = runtime::Reply<runtime::InvokeResult>{
             [gate, entered = std::make_shared<std::promise<void>>(
                        std::move(entered))](runtime::InvokeResult) {
@@ -194,17 +193,17 @@ AsyncTcpTransport::Options client_options(std::vector<Peer> peers) {
   return opts;
 }
 
-std::future<runtime::InvokeResult> send_invoke(AsyncTcpTransport& tcp,
+std::future<runtime::InvokeResult> invoke_over(AsyncTcpTransport& tcp,
                                                std::size_t to,
                                                std::uint64_t seq,
                                                const std::string& argument) {
-  WireInvoke msg;
+  Invoke msg;
   msg.seq = seq;
   msg.object = "missing";
   msg.method = "get";
   msg.argument = argument;
   std::future<runtime::InvokeResult> reply;
-  EXPECT_EQ(tcp.send_invoke(kSender, to, msg, reply), SendStatus::Ok);
+  EXPECT_EQ(tcp.send(kSender, to, msg, reply), SendStatus::Ok);
   return reply;
 }
 
@@ -231,7 +230,7 @@ TEST(NodeServerDispatch, PipelinedFramesAreAnsweredInSendOrder) {
   // decodes them in one burst, so only the mailbox's FIFO keeps order.
   constexpr std::uint64_t kFrames = 64;
   std::vector<Frame> frames;
-  WireInstall install;
+  Install install;
   install.seq = 1;
   install.name = "c";
   install.state = runtime::ObjectState{"counter", {{"count", "0"}}};
@@ -244,16 +243,16 @@ TEST(NodeServerDispatch, PipelinedFramesAreAnsweredInSendOrder) {
   auto installed = client.next();
   ASSERT_TRUE(installed.has_value());
   EXPECT_EQ(installed->corr, 1u);
-  ASSERT_TRUE(std::holds_alternative<WireInstallReply>(installed->payload));
-  EXPECT_TRUE(std::get<WireInstallReply>(installed->payload).ok);
+  ASSERT_TRUE(std::holds_alternative<Answer<Install>>(installed->payload));
+  EXPECT_TRUE(std::get<Answer<Install>>(installed->payload).value);
   for (std::uint64_t i = 1; i <= kFrames; ++i) {
     auto reply = client.next();
     ASSERT_TRUE(reply.has_value()) << "missing reply " << i;
     EXPECT_EQ(reply->corr, i + 1) << "reply out of send order";
-    const auto* result = std::get_if<WireInvokeReply>(&reply->payload);
+    const auto* result = std::get_if<Answer<Invoke>>(&reply->payload);
     ASSERT_NE(result, nullptr);
-    EXPECT_TRUE(result->result.ok);
-    EXPECT_EQ(result->result.value, std::to_string(i));
+    EXPECT_TRUE(result->value.ok);
+    EXPECT_EQ(result->value.value, std::to_string(i));
   }
 
   server.stop();
@@ -289,7 +288,7 @@ TEST(NodeServerDispatch, ReplyAfterConnectionClosedIsDropped) {
   auto reply = fresh.next();
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->corr, 8u);
-  EXPECT_EQ(std::get<WireInvokeReply>(reply->payload).result.value, "now");
+  EXPECT_EQ(std::get<Answer<Invoke>>(reply->payload).value.value, "now");
   server.stop();
 }
 
@@ -339,7 +338,7 @@ TEST(NodeServerDispatch, ReplyAfterStopStartCycleIsDropped) {
   auto reply = client.next();
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->corr, 9u);
-  EXPECT_EQ(std::get<WireInvokeReply>(reply->payload).result.value, "fresh");
+  EXPECT_EQ(std::get<Answer<Invoke>>(reply->payload).value.value, "fresh");
   server.stop();
 }
 
@@ -371,7 +370,7 @@ TEST(NodeServerDispatch, CrashWithQueuedWireRequestsSendsNoReply) {
   constexpr std::size_t kQueued = 8;
   std::vector<std::future<runtime::InvokeResult>> replies;
   for (std::size_t i = 0; i < kQueued; ++i) {
-    replies.push_back(send_invoke(tcp, 0, i + 1, "queued"));
+    replies.push_back(invoke_over(tcp, 0, i + 1, "queued"));
   }
   const auto deadline = std::chrono::steady_clock::now() + 5s;
   while (node.mailbox().size() < kQueued &&
@@ -420,12 +419,12 @@ TEST(NodeServerDispatch, StalledNodeDoesNotDelayTheOtherServerOnItsLoop) {
   NodeStall stall(stalled);
   std::vector<std::future<runtime::InvokeResult>> blocked;
   for (std::uint64_t i = 0; i < 4; ++i) {
-    blocked.push_back(send_invoke(tcp, 0, 100 + i, "blocked"));
+    blocked.push_back(invoke_over(tcp, 0, 100 + i, "blocked"));
   }
   // Every request to the second server completes while the first node is
   // still stalled: the loop both servers share never waits on a node.
   for (std::uint64_t i = 0; i < 16; ++i) {
-    auto reply = send_invoke(tcp, 1, 200 + i, "free");
+    auto reply = invoke_over(tcp, 1, 200 + i, "free");
     ASSERT_EQ(reply.wait_for(5s), std::future_status::ready)
         << "second server's reply " << i << " was held up";
     EXPECT_FALSE(reply.get().ok);  // "missing" is not hosted: an answer

@@ -42,12 +42,12 @@ TEST(TransportSoak, ThousandConcurrentConnectionsZeroDropZeroDup) {
   std::atomic<std::uint64_t> handled{0};
   NodeServer server(
       [&handled](Frame frame, NodeServer::Responder respond) {
-        const auto* invoke = std::get_if<WireInvoke>(&frame.payload);
+        const auto* invoke = std::get_if<runtime::Invoke>(&frame.payload);
         if (invoke == nullptr) return;
         handled.fetch_add(1, std::memory_order_relaxed);
-        WireInvokeReply reply;
-        reply.result.ok = true;
-        reply.result.value = invoke->method + ":" + invoke->argument;
+        Answer<runtime::Invoke> reply;
+        reply.value.ok = true;
+        reply.value.value = invoke->method + ":" + invoke->argument;
         respond.send(Frame{frame.corr, std::move(reply)});
       });
   const std::uint16_t port = server.start();
@@ -68,14 +68,14 @@ TEST(TransportSoak, ThousandConcurrentConnectionsZeroDropZeroDup) {
     std::vector<std::future<runtime::InvokeResult>> replies;
     replies.reserve(kConns);
     for (std::size_t conn = 0; conn < kConns; ++conn) {
-      WireInvoke msg;
+      runtime::Invoke msg;
       msg.seq = seq++;
       msg.object = "soak";
       msg.method = "echo";
       msg.argument =
           "c" + std::to_string(conn) + "-r" + std::to_string(round);
       std::future<runtime::InvokeResult> reply;
-      ASSERT_EQ(tcp.send_invoke(kConns + 1, conn, msg, reply),
+      ASSERT_EQ(tcp.send(kConns + 1, conn, msg, reply),
                 SendStatus::Ok)
           << "conn " << conn << " round " << round;
       replies.push_back(std::move(reply));

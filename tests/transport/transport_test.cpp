@@ -23,6 +23,9 @@
 namespace omig::transport {
 namespace {
 
+using runtime::Evict;
+using runtime::Install;
+using runtime::Invoke;
 using runtime::LiveSystem;
 using runtime::TransportKind;
 
@@ -75,12 +78,12 @@ protected:
   }
 
   bool install(const std::string& name, runtime::ObjectState state) {
-    WireInstall msg;
+    Install msg;
     msg.seq = next_seq_++;
     msg.name = name;
     msg.state = std::move(state);
     std::future<bool> done;
-    if (tcp_->send_install(kSender, 0, msg, done) != SendStatus::Ok) {
+    if (tcp_->send(kSender, 0, msg, done) != SendStatus::Ok) {
       return false;
     }
     return done.get();
@@ -102,22 +105,22 @@ INSTANTIATE_TEST_SUITE_P(Backends, TcpLink,
 TEST_P(TcpLink, RequestReplyRoundTrip) {
   ASSERT_TRUE(install("c", runtime::make_state("counter", {{"count", "5"}})));
 
-  WireInvoke msg;
+  Invoke msg;
   msg.seq = next_seq_++;
   msg.object = "c";
   msg.method = "add";
   msg.argument = "3";
   std::future<runtime::InvokeResult> reply;
-  ASSERT_EQ(tcp_->send_invoke(kSender, 0, msg, reply), SendStatus::Ok);
+  ASSERT_EQ(tcp_->send(kSender, 0, msg, reply), SendStatus::Ok);
   const runtime::InvokeResult result = reply.get();
   EXPECT_TRUE(result.ok);
   EXPECT_EQ(result.value, "8");
 
-  WireEvict evict;
+  Evict evict;
   evict.seq = next_seq_++;
   evict.name = "c";
   std::future<runtime::ObjectState> state;
-  ASSERT_EQ(tcp_->send_evict(kSender, 0, evict, state), SendStatus::Ok);
+  ASSERT_EQ(tcp_->send(kSender, 0, evict, state), SendStatus::Ok);
   const runtime::ObjectState evicted = state.get();
   EXPECT_EQ(evicted.type, "counter");
   EXPECT_EQ(evicted.fields.at("count"), "8");
@@ -130,12 +133,12 @@ TEST_P(TcpLink, ManyInFlightRequestsDemultiplexByCorrelation) {
   constexpr int kBurst = 64;
   std::vector<std::future<runtime::InvokeResult>> replies(kBurst);
   for (int i = 0; i < kBurst; ++i) {
-    WireInvoke msg;
+    Invoke msg;
     msg.seq = next_seq_++;
     msg.object = "c";
     msg.method = "add";
     msg.argument = "1";
-    ASSERT_EQ(tcp_->send_invoke(kSender, 0, msg, replies[i]), SendStatus::Ok);
+    ASSERT_EQ(tcp_->send(kSender, 0, msg, replies[i]), SendStatus::Ok);
   }
   std::vector<std::string> values;
   for (auto& reply : replies) {
@@ -148,10 +151,10 @@ TEST_P(TcpLink, ManyInFlightRequestsDemultiplexByCorrelation) {
 }
 
 TEST_P(TcpLink, UnknownPeerIsUnreachable) {
-  WireInvoke msg;
+  Invoke msg;
   msg.object = "c";
   std::future<runtime::InvokeResult> reply;
-  EXPECT_EQ(tcp_->send_invoke(kSender, 7, msg, reply),
+  EXPECT_EQ(tcp_->send(kSender, 7, msg, reply),
             SendStatus::Unreachable);
 }
 
@@ -159,7 +162,7 @@ TEST_P(TcpLink, DeadListenerIsUnreachableAndRecoversOnRestart) {
   ASSERT_TRUE(install("c", runtime::make_state("counter", {{"count", "1"}})));
   server_->stop();
 
-  WireInvoke msg;
+  Invoke msg;
   msg.seq = next_seq_++;
   msg.object = "c";
   msg.method = "get";
@@ -168,17 +171,17 @@ TEST_P(TcpLink, DeadListenerIsUnreachableAndRecoversOnRestart) {
     // The async backend accepts every send; a dead peer surfaces as the
     // broken-promise "lost in flight" signal once the connect budget is
     // exhausted — never as a hang.
-    ASSERT_EQ(tcp_->send_invoke(kSender, 0, msg, reply), SendStatus::Ok);
+    ASSERT_EQ(tcp_->send(kSender, 0, msg, reply), SendStatus::Ok);
     EXPECT_THROW(reply.get(), std::future_error);
   } else {
     // The first send may still ride the old connection (Closed when the
     // write hits the reset) or fail to reconnect (Unreachable); either way
     // it is a typed rejection, not a hang.
-    SendStatus status = tcp_->send_invoke(kSender, 0, msg, reply);
+    SendStatus status = tcp_->send(kSender, 0, msg, reply);
     if (status == SendStatus::Ok) {
       // Accepted just before the reset was observed: the reply must break.
       EXPECT_THROW(reply.get(), std::future_error);
-      status = tcp_->send_invoke(kSender, 0, msg, reply);
+      status = tcp_->send(kSender, 0, msg, reply);
     }
     EXPECT_NE(status, SendStatus::Ok);
   }
@@ -187,29 +190,66 @@ TEST_P(TcpLink, DeadListenerIsUnreachableAndRecoversOnRestart) {
   // is still there) — the transport reconnects transparently.
   ASSERT_EQ(server_->start(port_), port_);
   std::future<runtime::InvokeResult> after;
-  ASSERT_EQ(tcp_->send_invoke(kSender, 0, msg, after), SendStatus::Ok);
+  ASSERT_EQ(tcp_->send(kSender, 0, msg, after), SendStatus::Ok);
   EXPECT_EQ(after.get().value, "1");
   EXPECT_GE(tcp_->reconnects(), 1u);
 }
 
 TEST_P(TcpLink, OversizedFrameIsRejectedWithoutKillingTheLink) {
   ASSERT_TRUE(install("c", runtime::make_state("counter", {{"count", "1"}})));
-  WireInstall big;
+  Install big;
   big.seq = next_seq_++;
   big.name = "blob";
   big.state.type = "counter";
   big.state.fields["payload"] = std::string(kMaxFramePayload + 1, 'x');
   std::future<bool> done;
-  EXPECT_EQ(tcp_->send_install(kSender, 0, big, done), SendStatus::Oversized);
+  EXPECT_EQ(tcp_->send(kSender, 0, big, done), SendStatus::Oversized);
   EXPECT_THROW(done.get(), std::future_error);  // reply broke, typed status
 
   // The connection survived: normal traffic still flows.
-  WireInvoke msg;
+  Invoke msg;
   msg.seq = next_seq_++;
   msg.object = "c";
   msg.method = "get";
   std::future<runtime::InvokeResult> reply;
-  ASSERT_EQ(tcp_->send_invoke(kSender, 0, msg, reply), SendStatus::Ok);
+  ASSERT_EQ(tcp_->send(kSender, 0, msg, reply), SendStatus::Ok);
+  EXPECT_EQ(reply.get().value, "1");
+}
+
+TEST_P(TcpLink, WrongTypeReplyBreaksTheFutureAndResetsTheLink) {
+  ASSERT_TRUE(install("c", runtime::make_state("counter", {{"count", "1"}})));
+  // A type-confused peer: once two requests are in flight it answers the
+  // first with an install reply and never answers the second.
+  std::vector<std::pair<std::uint64_t, NodeServer::Responder>> held;
+  NodeServer confused{[&held](Frame frame, NodeServer::Responder respond) {
+    held.emplace_back(frame.corr, std::move(respond));
+    if (held.size() == 2) {
+      held[0].second.send(Frame{held[0].first, Answer<Install>{true}});
+    }
+  }};
+  const std::uint16_t confused_port = confused.start();
+  ASSERT_NE(confused_port, 0);
+  tcp_->set_peer(0, Peer{"127.0.0.1", confused_port});
+
+  Invoke msg;
+  msg.seq = next_seq_++;
+  msg.object = "c";
+  msg.method = "get";
+  std::future<runtime::InvokeResult> mismatched;
+  std::future<runtime::InvokeResult> unanswered;
+  ASSERT_EQ(tcp_->send(kSender, 0, msg, mismatched), SendStatus::Ok);
+  msg.seq = next_seq_++;
+  ASSERT_EQ(tcp_->send(kSender, 0, msg, unanswered), SendStatus::Ok);
+  // The mismatched answer breaks its own future, and the reset link takes
+  // the other request in flight on it down too.
+  EXPECT_THROW(mismatched.get(), std::future_error);
+  EXPECT_THROW(unanswered.get(), std::future_error);
+  confused.stop();
+
+  // Back on the real node, a fresh connection carries traffic again.
+  tcp_->set_peer(0, Peer{"127.0.0.1", port_});
+  std::future<runtime::InvokeResult> reply;
+  ASSERT_EQ(tcp_->send(kSender, 0, msg, reply), SendStatus::Ok);
   EXPECT_EQ(reply.get().value, "1");
 }
 
@@ -225,19 +265,19 @@ TEST(InProcTransportTest, ClosedMailboxYieldsTypedError) {
       },
       nullptr};
 
-  WireInvoke msg;
+  Invoke msg;
   msg.seq = 1;
   msg.object = "nothing";
   msg.method = "get";
   std::future<runtime::InvokeResult> reply;
-  EXPECT_EQ(transport.send_invoke(kSender, 0, msg, reply), SendStatus::Ok);
+  EXPECT_EQ(transport.send(kSender, 0, msg, reply), SendStatus::Ok);
   EXPECT_FALSE(reply.get().ok);  // unknown object, but delivered
 
-  EXPECT_EQ(transport.send_invoke(kSender, 3, msg, reply),
+  EXPECT_EQ(transport.send(kSender, 3, msg, reply),
             SendStatus::Closed);  // no such mailbox
 
   node.crash();
-  EXPECT_EQ(transport.send_invoke(kSender, 0, msg, reply),
+  EXPECT_EQ(transport.send(kSender, 0, msg, reply),
             SendStatus::Closed);  // crashed: mailbox rejects
   node.stop();
 }

@@ -14,6 +14,13 @@
 namespace omig::transport {
 namespace {
 
+using runtime::DirLookup;
+using runtime::DirUpdate;
+using runtime::Evict;
+using runtime::Install;
+using runtime::Invoke;
+using runtime::Shutdown;
+
 using omig::testing::from_hex;
 using omig::testing::squash;
 using omig::testing::to_hex;
@@ -43,40 +50,40 @@ std::vector<Golden> golden_frames() {
   const std::string state = kStateHex;
   const std::string obj = kObjHex;
   std::vector<Golden> out;
-  out.push_back({Frame{7, WireInvoke{42, "obj", "get", "x"}},
+  out.push_back({Frame{7, Invoke{42, "obj", "get", "x"}},
                  "25000000 02 01 0700000000000000"
                  " 2a00000000000000 " + obj +
                      " 03000000 676574 01000000 78"});
-  out.push_back({Frame{8, WireInstall{43, "obj", golden_state(), true}},
+  out.push_back({Frame{8, Install{43, "obj", golden_state(), true}},
                  "38000000 02 02 0800000000000000"
                  " 2b00000000000000 " + obj + " 1a000000 " + state + " 01"});
-  out.push_back({Frame{9, WireInstall{44, "obj", golden_state(), false}},
+  out.push_back({Frame{9, Install{44, "obj", golden_state(), false}},
                  "38000000 02 02 0900000000000000"
                  " 2c00000000000000 " + obj + " 1a000000 " + state + " 00"});
-  out.push_back({Frame{10, WireEvict{45, "obj", 3}},
+  out.push_back({Frame{10, Evict{45, "obj", 3}},
                  "22000000 02 03 0a00000000000000"
                  " 2d00000000000000 " + obj + " 01 0300000000000000"});
-  out.push_back({Frame{11, WireEvict{46, "obj", std::nullopt}},
+  out.push_back({Frame{11, Evict{46, "obj", std::nullopt}},
                  "1a000000 02 03 0b00000000000000"
                  " 2e00000000000000 " + obj + " 00"});
-  out.push_back({Frame{12, WireShutdown{}},
+  out.push_back({Frame{12, Shutdown{}},
                  "0a000000 02 04 0c00000000000000"});
   out.push_back(
-      {Frame{13, WireInvokeReply{runtime::InvokeResult{true, "6"}}},
+      {Frame{13, Answer<Invoke>{runtime::InvokeResult{true, "6"}}},
        "10000000 02 05 0d00000000000000 01 01000000 36"});
-  out.push_back({Frame{14, WireInstallReply{true}},
+  out.push_back({Frame{14, Answer<Install>{true}},
                  "0b000000 02 06 0e00000000000000 01"});
-  out.push_back({Frame{15, WireEvictReply{golden_state()}},
+  out.push_back({Frame{15, Answer<Evict>{golden_state()}},
                  "28000000 02 07 0f00000000000000 1a000000 " + state});
-  out.push_back({Frame{16, WireDirLookup{47, "obj"}},
+  out.push_back({Frame{16, DirLookup{47, "obj"}},
                  "19000000 02 08 1000000000000000"
                  " 2f00000000000000 " + obj});
-  out.push_back({Frame{17, WireDirUpdate{48, "obj", 2, true}},
+  out.push_back({Frame{17, DirUpdate{48, "obj", 2, true}},
                  "22000000 02 09 1100000000000000"
                  " 3000000000000000 " + obj + " 0200000000000000 01"});
-  out.push_back({Frame{18, WireDirLookupReply{true, 2}},
+  out.push_back({Frame{18, Answer<DirLookup>{{true, 2}}},
                  "13000000 02 0a 1200000000000000 01 0200000000000000"});
-  out.push_back({Frame{19, WireDirUpdateReply{true}},
+  out.push_back({Frame{19, Answer<DirUpdate>{{true}}},
                  "0b000000 02 0b 1300000000000000 01"});
   return out;
 }

@@ -11,6 +11,13 @@
 namespace omig::transport {
 namespace {
 
+using runtime::DirLookup;
+using runtime::DirUpdate;
+using runtime::Evict;
+using runtime::Install;
+using runtime::Invoke;
+using runtime::Shutdown;
+
 runtime::ObjectState sample_state() {
   runtime::ObjectState state;
   state.type = "case-file";
@@ -21,14 +28,14 @@ runtime::ObjectState sample_state() {
 
 std::vector<Frame> sample_frames() {
   std::vector<Frame> frames;
-  frames.push_back(Frame{7, WireInvoke{42, "case-1", "append", "hello"}});
-  frames.push_back(Frame{8, WireInstall{43, "case-1", sample_state(), true}});
-  frames.push_back(Frame{9, WireEvict{44, "case-1", 3}});
-  frames.push_back(Frame{10, WireShutdown{}});
+  frames.push_back(Frame{7, Invoke{42, "case-1", "append", "hello"}});
+  frames.push_back(Frame{8, Install{43, "case-1", sample_state(), true}});
+  frames.push_back(Frame{9, Evict{44, "case-1", 3}});
+  frames.push_back(Frame{10, Shutdown{}});
   frames.push_back(
-      Frame{11, WireInvokeReply{runtime::InvokeResult{true, "6"}}});
-  frames.push_back(Frame{12, WireInstallReply{true}});
-  frames.push_back(Frame{13, WireEvictReply{sample_state()}});
+      Frame{11, Answer<Invoke>{runtime::InvokeResult{true, "6"}}});
+  frames.push_back(Frame{12, Answer<Install>{true}});
+  frames.push_back(Frame{13, Answer<Evict>{sample_state()}});
   return frames;
 }
 
@@ -48,12 +55,12 @@ TEST(WireCodec, RoundTripsEveryFrameType) {
 }
 
 TEST(WireCodec, EmptyStringsAndEmptyStateSurvive) {
-  Frame frame{1, WireInvoke{0, "", "", ""}};
+  Frame frame{1, Invoke{0, "", "", ""}};
   auto decoded = decode_payload(payload_of(frame));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->payload, frame.payload);
 
-  Frame evicted{2, WireEvictReply{runtime::ObjectState{}}};
+  Frame evicted{2, Answer<Evict>{runtime::ObjectState{}}};
   decoded = decode_payload(payload_of(evicted));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->payload, evicted.payload);
@@ -121,7 +128,7 @@ TEST(WireCodec, RejectsTrailingGarbage) {
 TEST(WireCodec, RejectsOverlongInnerLength) {
   // A string length claiming more bytes than the payload holds.
   std::vector<std::uint8_t> payload =
-      payload_of(Frame{1, WireInvoke{5, "obj", "m", "arg"}});
+      payload_of(Frame{1, Invoke{5, "obj", "m", "arg"}});
   // Header: version(1) type(1) corr(8) seq(8); then u32 len of "obj".
   payload[18] = 0xFF;
   payload[19] = 0xFF;
@@ -132,7 +139,7 @@ TEST(WireCodec, RejectsOverlongInnerLength) {
 
 TEST(WireCodec, RejectsCorruptEmbeddedState) {
   std::vector<std::uint8_t> payload =
-      payload_of(Frame{1, WireEvictReply{sample_state()}});
+      payload_of(Frame{1, Answer<Evict>{sample_state()}});
   // The state blob starts after version+type+corr plus its u32 length;
   // flipping bytes inside it must fail the inner serde decode, not crash.
   for (std::size_t i = 14; i < payload.size(); i += 3) {
@@ -149,11 +156,11 @@ TEST(WireCodec, RejectsCorruptEmbeddedState) {
 
 TEST(WireCodecV2, RoundTripsPiggybackedDirectoryFields) {
   const std::vector<Frame> frames = {
-      Frame{1, WireEvict{5, "obj", std::nullopt}},
-      Frame{2, WireEvict{6, "obj", 0}},
-      Frame{3, WireEvict{7, "obj", ~std::uint64_t{0}}},
-      Frame{4, WireInstall{8, "obj", sample_state(), true}},
-      Frame{5, WireInstall{9, "obj", sample_state(), false}},
+      Frame{1, Evict{5, "obj", std::nullopt}},
+      Frame{2, Evict{6, "obj", 0}},
+      Frame{3, Evict{7, "obj", ~std::uint64_t{0}}},
+      Frame{4, Install{8, "obj", sample_state(), true}},
+      Frame{5, Install{9, "obj", sample_state(), false}},
   };
   for (const Frame& frame : frames) {
     const auto decoded = decode_payload(payload_of(frame));
@@ -172,14 +179,14 @@ TEST(WireCodecV2, RejectsFlagBytesOtherThanZeroOrOne) {
     std::size_t flag_at;  ///< offset of a flag byte in the payload
   };
   const std::vector<Case> cases = {
-      {Frame{1, WireEvict{5, "obj", 4}}, kEvictFlagAt},
-      {Frame{1, WireEvict{5, "obj", std::nullopt}}, kEvictFlagAt},
-      {Frame{1, WireInstall{5, "obj", sample_state(), true}}, 0},  // last
-      {Frame{1, WireInvokeReply{runtime::InvokeResult{true, "v"}}}, 10},
-      {Frame{1, WireInstallReply{true}}, 10},
-      {Frame{1, WireDirUpdate{5, "obj", 2, true}}, 0},  // last
-      {Frame{1, WireDirLookupReply{true, 2}}, 10},
-      {Frame{1, WireDirUpdateReply{true}}, 10},
+      {Frame{1, Evict{5, "obj", 4}}, kEvictFlagAt},
+      {Frame{1, Evict{5, "obj", std::nullopt}}, kEvictFlagAt},
+      {Frame{1, Install{5, "obj", sample_state(), true}}, 0},  // last
+      {Frame{1, Answer<Invoke>{runtime::InvokeResult{true, "v"}}}, 10},
+      {Frame{1, Answer<Install>{true}}, 10},
+      {Frame{1, DirUpdate{5, "obj", 2, true}}, 0},  // last
+      {Frame{1, Answer<DirLookup>{{true, 2}}}, 10},
+      {Frame{1, Answer<DirUpdate>{{true}}}, 10},
   };
   for (const Case& c : cases) {
     std::vector<std::uint8_t> payload = payload_of(c.frame);
@@ -196,7 +203,7 @@ TEST(WireCodecV2, RejectsFlagBytesOtherThanZeroOrOne) {
 TEST(WireCodecV2, RejectsTruncationAtEachNewField) {
   // forward_to set: the flag, then every byte of the u64 is required.
   const std::vector<std::uint8_t> set =
-      payload_of(Frame{1, WireEvict{5, "obj", 7}});
+      payload_of(Frame{1, Evict{5, "obj", 7}});
   ASSERT_EQ(set.size(), kEvictFlagAt + 1 + 8);
   for (std::size_t len = kEvictFlagAt; len < set.size(); ++len) {
     EXPECT_FALSE(decode_payload({set.data(), len}).has_value())
@@ -204,12 +211,12 @@ TEST(WireCodecV2, RejectsTruncationAtEachNewField) {
   }
   // forward_to unset: the flag byte itself is still required.
   const std::vector<std::uint8_t> unset =
-      payload_of(Frame{1, WireEvict{5, "obj", std::nullopt}});
+      payload_of(Frame{1, Evict{5, "obj", std::nullopt}});
   ASSERT_EQ(unset.size(), kEvictFlagAt + 1);
   EXPECT_FALSE(decode_payload({unset.data(), kEvictFlagAt}).has_value());
   // self_entry: the install's last byte.
   const std::vector<std::uint8_t> install =
-      payload_of(Frame{1, WireInstall{5, "obj", sample_state(), true}});
+      payload_of(Frame{1, Install{5, "obj", sample_state(), true}});
   EXPECT_FALSE(
       decode_payload({install.data(), install.size() - 1}).has_value());
 }
@@ -329,7 +336,7 @@ std::vector<Frame> fuzz_corpus() {
     runtime::ObjectState big = sample_state();
     big.fields["blob"] = std::string(1024 + 137 * round, 'x');
     frames.push_back(
-        Frame{corr++, WireInstall{99, "bulk", std::move(big), false}});
+        Frame{corr++, Install{99, "bulk", std::move(big), false}});
   }
   return frames;
 }

@@ -198,14 +198,14 @@ int serve(std::size_t id, std::uint16_t port, const std::string& port_file,
   }
 
   // The loop thread flags the Shutdown frame so main can exit; the
-  // bridge still forwards it as MsgStop, which ends the node loop.
+  // bridge still forwards it to the mailbox, which ends the node loop.
   std::mutex mutex;
   std::condition_variable cv;
   bool stopping = false;
   transport::NodeServer server{
       [&](transport::Frame frame, transport::NodeServer::Responder respond) {
         const bool is_shutdown =
-            std::holds_alternative<transport::WireShutdown>(frame.payload);
+            std::holds_alternative<runtime::Shutdown>(frame.payload);
         transport::serve_on_mailbox(node.mailbox(), std::move(frame),
                                     std::move(respond));
         if (is_shutdown) {
