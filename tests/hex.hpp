@@ -8,7 +8,7 @@
 #include <string_view>
 #include <vector>
 
-namespace omig::testing {
+namespace omig::test {
 
 /// Lower-case hex of `bytes`, no separators.
 inline std::string to_hex(const std::vector<std::uint8_t>& bytes) {
@@ -45,4 +45,4 @@ inline std::vector<std::uint8_t> from_hex(std::string_view hex) {
   return out;
 }
 
-}  // namespace omig::testing
+}  // namespace omig::test

@@ -13,9 +13,9 @@
 namespace omig::store {
 namespace {
 
-using omig::testing::from_hex;
-using omig::testing::squash;
-using omig::testing::to_hex;
+using omig::test::from_hex;
+using omig::test::squash;
+using omig::test::to_hex;
 
 // A serde blob (type "counter", one field n = "42"); opaque to the store.
 const std::string kBlobHex =

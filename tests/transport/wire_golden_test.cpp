@@ -21,9 +21,9 @@ using runtime::Install;
 using runtime::Invoke;
 using runtime::Shutdown;
 
-using omig::testing::from_hex;
-using omig::testing::squash;
-using omig::testing::to_hex;
+using omig::test::from_hex;
+using omig::test::squash;
+using omig::test::to_hex;
 
 runtime::ObjectState golden_state() {
   runtime::ObjectState state;
