@@ -17,9 +17,18 @@
 // document; scripts/bench_baseline.sh --transport merges it into
 // BENCH_transport.json.
 //
+// Both processes pin themselves to one CPU each, as the perfbench driver
+// (perfbench/main.cpp) does: the client to the last CPU it may run on,
+// the server child to the one before it (the same CPU when only one is
+// allowed). Each process's own thread handoffs then stay local context
+// switches instead of vCPU wake-ups, which is what made unpinned serial
+// RTT rows vary by ±30% between runs on a shared VM. The JSON records the
+// two CPUs.
+//
 // Knobs: OMIG_BENCH_SERIAL / OMIG_BENCH_PIPELINED / OMIG_BENCH_WINDOW,
 // OMIG_BENCH_LADDER_TCP_MAX (default 1000: a 10k-thread client is exactly
 // the configuration the thread-per-peer backend exists to avoid).
+#include <sched.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -33,6 +42,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -235,6 +245,31 @@ LadderResult run_ladder(const std::string& backend, std::uint16_t port,
   return r;
 }
 
+/// The last two CPUs this process may run on, as {client, server}; both
+/// the same CPU when only one is allowed, -1 if the mask is unreadable.
+std::pair<int, int> bench_cpus() {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof allowed, &allowed) != 0) return {-1, -1};
+  std::vector<int> cpus;
+  for (int cpu = CPU_SETSIZE - 1; cpu >= 0 && cpus.size() < 2; --cpu) {
+    if (CPU_ISSET(cpu, &allowed)) cpus.push_back(cpu);
+  }
+  if (cpus.empty()) return {-1, -1};
+  return {cpus.front(), cpus.back()};
+}
+
+/// Restricts the calling process (all its future threads) to `cpu`.
+void pin_to_cpu(int cpu) {
+  if (cpu < 0) return;
+  cpu_set_t pinned;
+  CPU_ZERO(&pinned);
+  CPU_SET(cpu, &pinned);
+  if (sched_setaffinity(0, sizeof pinned, &pinned) != 0) {
+    std::perror("sched_setaffinity");
+  }
+}
+
 /// The frame server, in a forked child: a real LiveNode behind a
 /// NodeServer, exactly what `omig_node --port` runs. Writes the bound
 /// port to `port_fd`, serves until `stop_fd` reaches EOF.
@@ -266,13 +301,16 @@ int main() {
   int port_pipe[2];
   int stop_pipe[2];
   if (pipe(port_pipe) != 0 || pipe(stop_pipe) != 0) return 1;
+  const auto [client_cpu, server_cpu] = bench_cpus();
   const pid_t child = fork();
   if (child < 0) return 1;
   if (child == 0) {
+    pin_to_cpu(server_cpu);
     close(port_pipe[0]);
     close(stop_pipe[1]);
     server_child(port_pipe[1], stop_pipe[0]);
   }
+  pin_to_cpu(client_cpu);
   close(port_pipe[1]);
   close(stop_pipe[0]);
   std::uint16_t port = 0;
@@ -322,7 +360,8 @@ int main() {
   }
 
   std::ostringstream out;
-  out << "{\n  \"echo\": [\n";
+  out << "{\n  \"cpus\": {\"client\": " << client_cpu
+      << ", \"server\": " << server_cpu << "},\n  \"echo\": [\n";
   for (std::size_t i = 0; i < echo.size(); ++i) {
     const auto& r = echo[i];
     out << "    {\"backend\": \"" << r.backend
