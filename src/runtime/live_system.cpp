@@ -34,6 +34,15 @@ std::uint64_t now_ms() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
+
+/// `names` as relocate() batch members (LiveSystem::Move) bound for `dest`.
+std::vector<std::pair<std::string, std::size_t>> bound_for(
+    const std::vector<std::string>& names, std::size_t dest) {
+  std::vector<std::pair<std::string, std::size_t>> moves;
+  moves.reserve(names.size());
+  for (const std::string& name : names) moves.emplace_back(name, dest);
+  return moves;
+}
 }  // namespace
 
 const char* to_string(MovePolicy policy) {
@@ -203,7 +212,7 @@ void LiveSystem::recover_from_store() {
     if (install_with_retry(node, name, *state, kExternalSender)) {
       replayed_objects_.fetch_add(1, std::memory_order_relaxed);
       if (sharded()) {
-        dir_publish_move(name, node, shard_owner(shard_of(name)) == node);
+        dir_publish({{name, node, shard_owner(shard_of(name)) == node}});
       }
     }
   }
@@ -275,11 +284,11 @@ bool LiveSystem::sent_ok(transport::SendStatus status) {
 }
 
 template <class T>
-std::optional<T> LiveSystem::await_reply(std::future<T>& reply) {
+std::optional<T> LiveSystem::await_reply(
+    std::future<T>& reply, std::chrono::steady_clock::time_point deadline) {
   try {
     if (options_.reply_timeout.count() > 0) {
-      if (reply.wait_for(options_.reply_timeout) !=
-          std::future_status::ready) {
+      if (reply.wait_until(deadline) != std::future_status::ready) {
         return std::nullopt;
       }
     }
@@ -292,25 +301,47 @@ std::optional<T> LiveSystem::await_reply(std::future<T>& reply) {
 }
 
 template <class Body>
-std::optional<typename Body::Result> LiveSystem::request_with_retry(
-    std::size_t from, std::size_t to, const Body& body,
-    bool stop_on_reject) {
+void LiveSystem::request_batch(std::span<Outbound<Body>> batch,
+                               bool stop_on_reject) {
   for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-    if (attempt > 0) retry(attempt);
-    std::future<typename Body::Result> reply;
-    if (!sent_ok(transport_->send(from, to, body, reply))) {
-      if (stop_on_reject) break;
-      continue;  // node is down; it may restart within the retry budget
+    std::uint64_t open = 0;
+    for (const Outbound<Body>& out : batch) open += out.done ? 0 : 1;
+    if (open == 0) return;
+    if (attempt > 0) retry(attempt, open);
+    // Every open request is in flight before any reply is awaited.
+    for (Outbound<Body>& out : batch) {
+      if (out.done) continue;
+      out.sent = sent_ok(transport_->send(out.from, out.to, out.body,
+                                          out.reply));
+      // A rejected send means the node is down; it may restart within the
+      // retry budget.
+      if (!out.sent && stop_on_reject) out.done = true;
     }
-    auto got = await_reply(reply);
-    if (got.has_value()) return got;
+    // Each reply gets at least Options::reply_timeout after the last send.
+    const auto deadline =
+        options_.reply_timeout.count() > 0
+            ? std::chrono::steady_clock::now() + options_.reply_timeout
+            : std::chrono::steady_clock::time_point{};
+    for (Outbound<Body>& out : batch) {
+      if (out.done || !out.sent) continue;
+      out.result = await_reply(out.reply, deadline);
+      out.done = out.result.has_value();
+    }
   }
-  return std::nullopt;
 }
 
-void LiveSystem::retry(int attempt) {
-  retries_.fetch_add(1, std::memory_order_relaxed);
-  obs::runtime_metrics().retries->inc();
+template <class Body>
+std::optional<typename Body::Result> LiveSystem::request(std::size_t from,
+                                                         std::size_t to,
+                                                         Body body) {
+  Outbound<Body> one{.from = from, .to = to, .body = std::move(body)};
+  request_batch(std::span{&one, 1});
+  return std::move(one.result);
+}
+
+void LiveSystem::retry(int attempt, std::uint64_t resent) {
+  retries_.fetch_add(resent, std::memory_order_relaxed);
+  obs::runtime_metrics().retries->inc(resent);
   backoff(attempt);
 }
 
@@ -325,16 +356,20 @@ bool LiveSystem::faults_active() const {
          crashes_.load(std::memory_order_relaxed) > 0;
 }
 
+Install LiveSystem::install_msg(const std::string& name,
+                                const ObjectState& state) {
+  // The new host records its own self-entry as it installs, so forwarding
+  // chases that reach it terminate without a separate DirUpdate.
+  return Install{.seq = next_seq_.fetch_add(1, std::memory_order_relaxed),
+                 .name = name,
+                 .state = state,
+                 .self_entry = sharded()};
+}
+
 bool LiveSystem::install_with_retry(std::size_t node, const std::string& name,
                                     const ObjectState& state,
                                     std::size_t from) {
-  // The new host records its own self-entry as it installs, so forwarding
-  // chases that reach it terminate without a separate DirUpdate.
-  const Install msg{.seq = next_seq_.fetch_add(1, std::memory_order_relaxed),
-                    .name = name,
-                    .state = state,
-                    .self_entry = sharded()};
-  return request_with_retry(from, node, msg).value_or(false);
+  return request(from, node, install_msg(name, state)).value_or(false);
 }
 
 bool LiveSystem::create(const std::string& name, ObjectState state,
@@ -360,7 +395,7 @@ bool LiveSystem::create(const std::string& name, ObjectState state,
   // The install left the host's self-entry; seed the shard owner's slice
   // too when another node serves it.
   if (sharded()) {
-    dir_publish_move(name, node, shard_owner(shard_of(name)) == node);
+    dir_publish({{name, node, shard_owner(shard_of(name)) == node}});
   }
   if (store_ != nullptr) {
     // Persist the creation checkpoint; only a fsynced append upgrades the
@@ -453,12 +488,12 @@ InvokeResult LiveSystem::invoke_impl(std::optional<std::size_t> from,
     }
     // One logical request: every retransmission reuses this seq, so the
     // hosting node executes the method at most once.
-    const Invoke msg{.seq = next_seq_.fetch_add(1, std::memory_order_relaxed),
-                     .object = object,
-                     .method = method,
-                     .argument = argument};
-    const std::optional<InvokeResult> result =
-        request_with_retry(from.value_or(kExternalSender), node, msg);
+    const std::optional<InvokeResult> result = request(
+        from.value_or(kExternalSender), node,
+        Invoke{.seq = next_seq_.fetch_add(1, std::memory_order_relaxed),
+               .object = object,
+               .method = method,
+               .argument = argument});
     if (!result.has_value()) {
       return InvokeResult{
           false, "node unreachable: " + std::to_string(node) + " (" + object +
@@ -561,142 +596,228 @@ std::vector<std::string> LiveSystem::closure_locked(
   return out;
 }
 
-std::size_t LiveSystem::relocate(const std::vector<std::string>& objects,
-                                 std::size_t dest) {
-  std::size_t moved = 0;
-  for (const std::string& name : objects) {
-    const auto wall_start = std::chrono::steady_clock::now();
-    std::size_t src;
-    {
-      std::lock_guard lock{mutex_};
-      src = directory_.at(name).node;
-    }
-    if (src == dest) {
-      end_transit(name, dest);
-      continue;
-    }
+std::vector<LiveSystem::Move> LiveSystem::claim_locked(
+    std::unique_lock<std::mutex>& lock, const std::vector<Move>& moves,
+    std::uint64_t block, bool skip_resident) {
+  // Like MigrationManager::transfer: wait before claiming anything, never
+  // between two claims.
+  transit_cv_.wait(lock, [&] {
+    return std::none_of(moves.begin(), moves.end(), [&](const Move& move) {
+      auto it = directory_.find(move.first);
+      return it != directory_.end() && it->second.in_transit;
+    });
+  });
+  std::vector<Move> claimed;
+  for (const auto& [name, dest] : moves) {
+    auto it = directory_.find(name);
+    if (it == directory_.end()) continue;
+    Meta& meta = it->second;
+    if (meta.fixed || (skip_resident && meta.node == dest)) continue;
+    meta.in_transit = true;
+    trace_locked(trace::EventKind::MigrationStart, name, dest, block);
+    claimed.emplace_back(name, dest);
+  }
+  return claimed;
+}
 
-    // Pull the state off the source; the request travels dest -> src. A
-    // dead source ends the attempts early — recovery takes over below.
+void LiveSystem::relocate(const std::vector<Move>& moves) {
+  const auto wall_start = std::chrono::steady_clock::now();
+  // One member's progress through the hop's phases.
+  struct Hop {
+    const std::string* name = nullptr;
+    std::size_t src = 0;
+    std::size_t dest = 0;
+    std::size_t target = 0;  ///< where the object ends up
+    bool evict_answered = false;
+    bool installed = false;
+    /// Restarts of the install target seen before the install: a later
+    /// one skipped this object in its reconciliation, as it was in transit.
+    std::uint64_t target_restarts = 0;
+    std::uint64_t cursor = 0;
+    ObjectState state{};
+  };
+  std::vector<Hop> hops;
+  std::vector<const Move*> resident;
+  {
+    std::lock_guard lock{mutex_};
+    for (const Move& move : moves) {
+      const std::size_t src = directory_.at(move.first).node;
+      if (src == move.second) {
+        resident.push_back(&move);
+      } else {
+        hops.push_back({.name = &move.first,
+                        .src = src,
+                        .dest = move.second,
+                        .target = move.second});
+      }
+    }
+  }
+  for (const Move* move : resident) end_transit(move->first, move->second);
+
+  // Pull every member's state off its source; each evict travels
+  // dest -> src. A dead source ends that member's attempts early —
+  // recovery takes over below. The source records its forwarding entry as
+  // it gives the object up.
+  std::vector<Outbound<Evict>> evicts;
+  evicts.reserve(hops.size());
+  for (const Hop& hop : hops) {
     Evict evict{.seq = next_seq_.fetch_add(1, std::memory_order_relaxed),
-                .name = name};
-    // The source records its forwarding entry as it gives the object up.
-    if (sharded()) evict.forward_to = static_cast<std::uint64_t>(dest);
-    std::optional<ObjectState> state =
-        request_with_retry(dest, src, evict, /*stop_on_reject=*/true);
-    // Only an answered evict is known to have left src's forwarding entry.
-    const bool evict_answered = state.has_value();
-
-    if (!state.has_value() || state->type.empty()) {
-      // The source is unreachable or lost the object with a crash: recover
-      // the last checkpoint. Degraded mode — updates since the checkpoint
-      // are gone, but the object itself survives (docs/fault_model.md).
-      std::lock_guard lock{mutex_};
-      state = directory_.at(name).checkpoint;
-      recoveries_.fetch_add(1, std::memory_order_relaxed);
-      obs::runtime_metrics().recoveries->inc();
+                .name = *hop.name,
+                .forward_to = std::nullopt};
+    if (sharded()) evict.forward_to = static_cast<std::uint64_t>(hop.dest);
+    evicts.push_back(
+        {.from = hop.dest, .to = hop.src, .body = std::move(evict)});
+  }
+  request_batch(std::span{evicts}, /*stop_on_reject=*/true);
+  {
+    std::lock_guard lock{mutex_};
+    for (std::size_t i = 0; i < hops.size(); ++i) {
+      Hop& hop = hops[i];
+      std::optional<ObjectState>& state = evicts[i].result;
+      // Only an answered evict is known to have left src's forwarding entry.
+      hop.evict_answered = state.has_value();
+      if (!state.has_value() || state->type.empty()) {
+        // The source is unreachable or lost the object with a crash:
+        // recover the last checkpoint. Degraded mode — updates since the
+        // checkpoint are gone, but the object itself survives
+        // (docs/fault_model.md).
+        state = directory_.at(*hop.name).checkpoint;
+        recoveries_.fetch_add(1, std::memory_order_relaxed);
+        obs::runtime_metrics().recoveries->inc();
+      }
+      OMIG_ASSERT(!state->type.empty());
+      hop.state = std::move(*state);
     }
-    OMIG_ASSERT(!state->type.empty());
+  }
 
+  for (Hop& hop : hops) {
     // Linearise for the wire (Section 3.1) — the destination rebuilds the
     // object from bytes, never from shared memory.
-    const std::vector<std::uint8_t> wire = encode(*state);
-    if (options_.remote_latency.count() > 0) {
-      std::this_thread::sleep_for(options_.remote_latency);  // transfer
-    }
-    auto decoded = decode(wire);
+    auto decoded = decode(encode(hop.state));
     OMIG_ASSERT(decoded.has_value());
-
-    // Restarts of the install target seen before the install: a later one
-    // skipped this object in its reconciliation, as it was in transit.
-    std::uint64_t target_restarts = 0;
-    {
-      // The state now in flight becomes the object's recovery checkpoint.
-      std::lock_guard lock{mutex_};
-      directory_.at(name).checkpoint = *decoded;
-      target_restarts = node_restarts_[dest];
+    hop.state = std::move(*decoded);
+  }
+  if (!hops.empty() && options_.remote_latency.count() > 0) {
+    std::this_thread::sleep_for(options_.remote_latency);  // the transfer
+  }
+  {
+    // The state now in flight becomes each object's recovery checkpoint.
+    std::lock_guard lock{mutex_};
+    for (Hop& hop : hops) {
+      directory_.at(*hop.name).checkpoint = hop.state;
+      hop.target_restarts = node_restarts_[hop.dest];
     }
+  }
 
-    std::size_t target = dest;
-    bool installed = install_with_retry(dest, name, *decoded, src);
-    if (!installed) {
-      // Destination died mid-move: put the object back on the source. If
-      // that is down too, the directory entry plus checkpoint let restart
-      // reconciliation revive it there — the object is never lost. The
-      // reinstall's self-entry overwrites the forwarding entry the evict
-      // left at the source (its shard slice, when it owns the shard).
-      {
-        std::lock_guard lock{mutex_};
-        target_restarts = node_restarts_[src];
-      }
-      installed = install_with_retry(src, name, *decoded, dest);
-      target = src;
+  std::vector<Outbound<Install>> installs;
+  installs.reserve(hops.size());
+  for (const Hop& hop : hops) {
+    installs.push_back({.from = hop.src,
+                        .to = hop.dest,
+                        .body = install_msg(*hop.name, hop.state)});
+  }
+  request_batch(std::span{installs});
+  // Destination died mid-move: put the object back on the source. If that
+  // is down too, the directory entry plus checkpoint let restart
+  // reconciliation revive it there — the object is never lost. The
+  // reinstall's self-entry overwrites the forwarding entry the evict left
+  // at the source (its shard slice, when it owns the shard).
+  std::vector<Outbound<Install>> fallbacks;
+  std::vector<Hop*> returned;
+  {
+    std::lock_guard lock{mutex_};
+    for (std::size_t i = 0; i < hops.size(); ++i) {
+      Hop& hop = hops[i];
+      hop.installed = installs[i].result.value_or(false);
+      if (hop.installed) continue;
+      hop.target = hop.src;
+      hop.target_restarts = node_restarts_[hop.src];
+      returned.push_back(&hop);
     }
+  }
+  for (const Hop* hop : returned) {
+    fallbacks.push_back({.from = hop->dest,
+                         .to = hop->src,
+                         .body = install_msg(*hop->name, hop->state)});
+  }
+  request_batch(std::span{fallbacks});
+  for (std::size_t i = 0; i < returned.size(); ++i) {
+    returned[i]->installed = fallbacks[i].result.value_or(false);
+  }
 
-    std::uint64_t cursor = 0;
-    {
-      std::lock_guard lock{mutex_};
-      Meta& meta = directory_.at(name);
-      meta.node = target;
-      meta.host_restarted = node_restarts_[target] != target_restarts;
-      if (target != src) cursor = ++meta.moves;
+  {
+    std::lock_guard lock{mutex_};
+    for (Hop& hop : hops) {
+      Meta& meta = directory_.at(*hop.name);
+      meta.node = hop.target;
+      meta.host_restarted =
+          node_restarts_[hop.target] != hop.target_restarts;
+      if (hop.target != hop.src) hop.cursor = ++meta.moves;
     }
-    // The owner update is acked before the transit ends, so the next move
-    // of this object cannot overtake it: updates for one object reach the
-    // owner in order, and its slice never names a node the object left.
-    if (sharded()) {
+  }
+  // The owner updates are acked before the transits end, so the next move
+  // of an object cannot overtake its update: updates for one object reach
+  // the owner in order, and its slice never names a node the object left.
+  if (sharded()) {
+    std::vector<Publication> published;
+    published.reserve(hops.size());
+    for (const Hop& hop : hops) {
       // The owner already holds `name -> target` if it is the target and
       // acked the install, or it is the source, answered the evict, and
       // the object left it.
-      const std::size_t owner = shard_owner(shard_of(name));
+      const std::size_t owner = shard_owner(shard_of(*hop.name));
       const bool owner_written =
-          (owner == target && installed) ||
-          (owner == src && target != src && evict_answered);
-      dir_publish_move(name, target, owner_written);
+          (owner == hop.target && hop.installed) ||
+          (owner == hop.src && hop.target != hop.src && hop.evict_answered);
+      published.push_back({*hop.name, hop.target, owner_written});
     }
-    end_transit(name, target);
-    if (store_ != nullptr && target != src) {
+    dir_publish(published);
+    // Both ends' lookup caches learn the move; their own tables already
+    // hold it (the source's forwarding entry, the target's self-entry).
+    const std::uint64_t stamp = now_ms();
+    for (const Hop& hop : hops) {
+      if (!hop.installed) continue;
+      const auto target = static_cast<std::uint64_t>(hop.target);
+      caches_[hop.src]->put(*hop.name, target, stamp);
+      caches_[hop.target]->put(*hop.name, target, stamp);
+    }
+  }
+  for (const Hop& hop : hops) end_transit(*hop.name, hop.target);
+
+  for (const Hop& hop : hops) {
+    if (store_ != nullptr && hop.target != hop.src) {
       // Log the location change, then checkpoint the in-flight state under
       // the new home — both fsynced before relocate() acks the migration,
       // so no acked migration is ever lost (docs/durability.md).
-      (void)store_->migration(name, src, target);
-      const auto outcome =
-          store_->checkpoint(name, target, cursor, encode(*decoded));
+      (void)store_->migration(*hop.name, hop.src, hop.target);
+      const auto outcome = store_->checkpoint(*hop.name, hop.target,
+                                              hop.cursor, encode(hop.state));
       std::lock_guard lock{mutex_};
-      auto it = directory_.find(name);
+      auto it = directory_.find(*hop.name);
       if (it != directory_.end()) it->second.durable = outcome.durable;
     }
-    if (target == dest) {
+    if (hop.target == hop.dest) {
       migrations_.fetch_add(1, std::memory_order_relaxed);
       obs::runtime_metrics().migrations->inc();
+      // From the hop's start: the member waited for the whole batch.
       obs::runtime_metrics().migration_us->record(us_since(wall_start));
-      ++moved;
     }
   }
   transit_cv_.notify_all();
-  return moved;
 }
 
 bool LiveSystem::migrate(const std::string& object, std::size_t dest,
                          const std::string& alliance) {
   OMIG_REQUIRE(started_, "start() the system first");
   OMIG_REQUIRE(dest < node_count(), "node index out of range");
-  std::vector<std::string> to_move;
+  std::vector<Move> to_move;
   {
     std::unique_lock lock{mutex_};
     if (!directory_.contains(object)) return false;
-    for (const std::string& name : closure_locked(object, alliance)) {
-      Meta& meta = directory_.at(name);
-      // Wait out concurrent transits of this member, then claim it.
-      transit_cv_.wait(lock,
-                       [&] { return !directory_.at(name).in_transit; });
-      if (meta.fixed) continue;
-      meta.in_transit = true;
-      trace_locked(trace::EventKind::MigrationStart, name, dest);
-      to_move.push_back(name);
-    }
+    to_move = claim_locked(
+        lock, bound_for(closure_locked(object, alliance), dest), 0, false);
   }
-  relocate(to_move, dest);
+  relocate(to_move);
   return true;
 }
 
@@ -714,7 +835,7 @@ LiveSystem::MoveToken LiveSystem::move(const std::string& object,
   OMIG_REQUIRE(started_, "start() the system first");
   OMIG_REQUIRE(dest < node_count(), "node index out of range");
   MoveToken token;
-  std::vector<std::string> to_move;
+  std::vector<Move> to_move;
   {
     std::unique_lock lock{mutex_};
     auto it = directory_.find(object);
@@ -758,33 +879,21 @@ LiveSystem::MoveToken LiveSystem::move(const std::string& object,
         }
         token.locked.push_back(name);
         trace_locked(trace::EventKind::Lock, name, target, token.id);
-        transit_cv_.wait(lock,
-                         [&] { return !directory_.at(name).in_transit; });
-        if (meta.fixed) continue;
-        meta.in_transit = true;
-        trace_locked(trace::EventKind::MigrationStart, name, target,
-                     token.id);
-        to_move.push_back(name);
       }
+      to_move = claim_locked(lock, bound_for(token.locked, target), token.id,
+                             false);
     } else {
       // Conventional: always migrate, no locks.
-      for (const std::string& name : closure_locked(object, alliance)) {
-        Meta& meta = directory_.at(name);
-        transit_cv_.wait(lock,
-                         [&] { return !directory_.at(name).in_transit; });
-        if (meta.fixed) continue;
-        meta.in_transit = true;
-        trace_locked(trace::EventKind::MigrationStart, name, dest, token.id);
-        to_move.push_back(name);
-      }
+      to_move = claim_locked(
+          lock, bound_for(closure_locked(object, alliance), dest), token.id,
+          false);
     }
     token.granted = true;
-    for (const std::string& name : to_move) {
-      token.origins.emplace_back(name, directory_.at(name).node);
+    for (const Move& move : to_move) {
+      token.origins.emplace_back(move.first, directory_.at(move.first).node);
     }
-    dest = target;
   }
-  relocate(to_move, dest);
+  relocate(to_move);
   return token;
 }
 
@@ -863,22 +972,14 @@ void LiveSystem::end(MoveToken& token) {
     trace_locked(trace::EventKind::BlockEnd, "", kExternalSender, token.id);
   }
   if (token.visit && token.granted) {
-    // visit(): the objects migrate back to where they came from.
-    for (const auto& [name, origin] : token.origins) {
-      std::vector<std::string> one{name};
-      {
-        std::unique_lock lock{mutex_};
-        auto it = directory_.find(name);
-        if (it == directory_.end()) continue;
-        transit_cv_.wait(lock,
-                         [&] { return !directory_.at(name).in_transit; });
-        if (it->second.fixed || it->second.node == origin) continue;
-        it->second.in_transit = true;
-        trace_locked(trace::EventKind::MigrationStart, name, origin,
-                     token.id);
-      }
-      relocate(one, origin);
+    // visit(): the objects migrate back to where they came from, as one
+    // hop.
+    std::vector<Move> home;
+    {
+      std::unique_lock lock{mutex_};
+      home = claim_locked(lock, token.origins, token.id, true);
     }
+    relocate(home);
     token.origins.clear();
   }
 }
@@ -1026,25 +1127,19 @@ std::size_t LiveSystem::shard_of(const std::string& name) const {
   return static_cast<std::size_t>(hash % dir_shards_);
 }
 
-bool LiveSystem::dir_update(std::size_t target, const std::string& name,
-                            std::size_t node, bool invalidate) {
+DirUpdate LiveSystem::dir_update_msg(const std::string& name,
+                                     std::size_t node) {
   dir_updates_.fetch_add(1, std::memory_order_relaxed);
   obs::dir_metrics().updates->inc();
-  // A target that stays down is re-seeded by restart reconciliation.
-  const DirUpdate msg{
-      .seq = next_seq_.fetch_add(1, std::memory_order_relaxed),
-      .name = name,
-      .node = static_cast<std::uint64_t>(node),
-      .invalidate = invalidate};
-  const std::optional<DirAck> ack =
-      request_with_retry(kExternalSender, target, msg);
-  return ack.has_value() && ack->ok;
+  return DirUpdate{.seq = next_seq_.fetch_add(1, std::memory_order_relaxed),
+                   .name = name,
+                   .node = static_cast<std::uint64_t>(node)};
 }
 
 std::optional<DirReply> LiveSystem::dir_lookup(std::size_t from,
                                                std::size_t target,
                                                const std::string& name) {
-  return request_with_retry(
+  return request(
       from, target,
       DirLookup{.seq = next_seq_.fetch_add(1, std::memory_order_relaxed),
                 .name = name});
@@ -1143,18 +1238,26 @@ std::size_t LiveSystem::resolve_sharded(std::optional<std::size_t> from,
   return finish(node);
 }
 
-void LiveSystem::dir_publish_move(const std::string& name, std::size_t host,
-                                  bool owner_written) {
+void LiveSystem::dir_publish(const std::vector<Publication>& moved) {
   // A crashed owner is skipped: the central map already names host, and
   // its restart re-seeds the slice from there (or marks the object for
   // end_transit() to republish).
-  const std::size_t owner = shard_owner(shard_of(name));
-  if (!owner_written && node_up(owner)) {
-    (void)dir_update(owner, name, host, false);
+  std::vector<Outbound<DirUpdate>> updates;
+  for (const auto& [name, host, owner_written] : moved) {
+    const std::size_t owner = shard_owner(shard_of(name));
+    if (!owner_written && node_up(owner)) {
+      updates.push_back({.from = kExternalSender,
+                         .to = owner,
+                         .body = dir_update_msg(name, host)});
+    }
   }
-  if (options_.dir_strategy == objsys::ConsistencyStrategy::EagerInvalidate) {
+  request_batch(std::span{updates});
+  if (options_.dir_strategy != objsys::ConsistencyStrategy::EagerInvalidate) {
+    return;
+  }
+  for (const Publication& p : moved) {
     for (auto& cache : caches_) {
-      if (cache->invalidate(name)) {
+      if (cache->invalidate(p.name)) {
         dir_invalidations_.fetch_add(1, std::memory_order_relaxed);
         obs::dir_metrics().invalidations->inc();
       }
@@ -1185,7 +1288,7 @@ void LiveSystem::end_transit(const std::string& name, std::size_t host) {
       recoveries_.fetch_add(1, std::memory_order_relaxed);
       obs::runtime_metrics().recoveries->inc();
     }
-    if (sharded()) dir_publish_move(name, host, false);
+    if (sharded()) dir_publish({{name, host, false}});
   }
 }
 
@@ -1209,7 +1312,8 @@ void LiveSystem::dir_reseed_node(std::size_t node) {
       meta.in_transit = true;
       host = meta.node;
     }
-    (void)dir_update(node, name, host, false);
+    // A target that stays down is re-seeded by its next restart.
+    (void)request(kExternalSender, node, dir_update_msg(name, host));
     {
       std::lock_guard lock{mutex_};
       directory_.at(name).in_transit = false;

@@ -32,12 +32,15 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_plan.hpp"
@@ -403,14 +406,43 @@ private:
   static constexpr std::size_t kExternalSender =
       static_cast<std::size_t>(-2);
 
+  /// One member of a cluster hop: an object and the node it moves to.
+  using Move = std::pair<std::string, std::size_t>;
+
+  /// One request of a request_batch(): its link and body, and once the
+  /// batch returns its reply — nullopt when none came within the budget.
+  template <class Body>
+  struct Outbound {
+    std::size_t from = 0;
+    std::size_t to = 0;
+    Body body;
+    std::optional<typename Body::Result> result{};
+    // Retry state of the attempt in flight.
+    std::future<typename Body::Result> reply{};
+    bool sent = false;  ///< the transport accepted the attempt
+    bool done = false;  ///< answered, or stopped by a rejected send
+  };
+
   /// Attachment closure of `object` (requires `mutex_`).
   [[nodiscard]] std::vector<std::string> closure_locked(
       const std::string& object, const std::string& alliance) const;
 
-  /// Physically relocates `objects` to `dest`; objects must already be
-  /// marked in_transit. Returns the count actually moved.
-  std::size_t relocate(const std::vector<std::string>& objects,
-                       std::size_t dest);
+  /// Claims a batch for relocate() (requires `lock` on `mutex_`). Waits
+  /// until no member of `moves` is in transit while holding none of them
+  /// — so movers of overlapping closures never each hold what the other
+  /// waits for — then marks in transit every member that is not fixed
+  /// and, with `skip_resident`, not already at its destination. Returns
+  /// the claimed members; `block` tags their MigrationStart events.
+  std::vector<Move> claim_locked(std::unique_lock<std::mutex>& lock,
+                                 const std::vector<Move>& moves,
+                                 std::uint64_t block, bool skip_resident);
+
+  /// Physically relocates each claimed member to its destination, as one
+  /// cluster hop: every evict is sent before any reply is awaited, then
+  /// every install before any ack, then every owner update
+  /// (docs/directory.md § "The owner update comes before the transit
+  /// ends").
+  void relocate(const std::vector<Move>& moves);
 
   InvokeResult invoke_impl(std::optional<std::size_t> from,
                            const std::string& object,
@@ -421,27 +453,34 @@ private:
   /// counted and the caller retries (the peer may come back).
   bool sent_ok(transport::SendStatus status);
 
-  /// Waits for a reply future, honouring Options::reply_timeout. nullopt =
-  /// the message (or its processing node) died — retry.
+  /// Waits for a reply future, until `deadline` when Options::reply_timeout
+  /// is set. nullopt = the message (or its processing node) died — retry.
   template <class T>
-  std::optional<T> await_reply(std::future<T>& reply);
+  std::optional<T> await_reply(std::future<T>& reply,
+                               std::chrono::steady_clock::time_point deadline);
 
   /// Sleeps the exponential-backoff delay for retry `attempt` (>= 1).
   void backoff(int attempt);
-  /// Every retransmission goes through here: counts it in retries() and
-  /// omig_runtime_retries_total, then backs off.
-  void retry(int attempt);
+  /// Every retransmission goes through here: counts `resent` of them in
+  /// retries() and omig_runtime_retries_total, then backs off once.
+  void retry(int attempt, std::uint64_t resent);
 
-  /// Sends `body` from `from` to `to` and awaits the reply, retransmitting
-  /// the same body — same seq, so delivery stays at-most-once — up to
-  /// Options::max_retries times with backoff. A typed send rejection is
-  /// retried as well (the node may restart within the budget) unless
-  /// `stop_on_reject`. nullopt = no reply within the budget.
+  /// The one retry loop. Sends every request of `batch` before awaiting
+  /// any reply, then re-sends only the unanswered ones — the same body,
+  /// same seq, so delivery stays at-most-once — each up to
+  /// Options::max_retries times, one backoff per round. A typed send
+  /// rejection is retried as well (the node may restart within the
+  /// budget) unless `stop_on_reject`, which ends that request's attempts.
   template <class Body>
-  std::optional<typename Body::Result> request_with_retry(
-      std::size_t from, std::size_t to, const Body& body,
-      bool stop_on_reject = false);
+  void request_batch(std::span<Outbound<Body>> batch,
+                     bool stop_on_reject = false);
+  /// request_batch() of one request; nullopt = no reply within the budget.
+  template <class Body>
+  std::optional<typename Body::Result> request(std::size_t from,
+                                               std::size_t to, Body body);
 
+  /// An Install of `state` as `name` under a fresh sequence number.
+  Install install_msg(const std::string& name, const ObjectState& state);
   /// Installs `state` as `name` on `node` with bounded retries under one
   /// sequence number. Returns false if the node stayed unreachable.
   bool install_with_retry(std::size_t node, const std::string& name,
@@ -498,12 +537,10 @@ private:
       std::optional<std::size_t> from) const {
     return from.value_or(node_count());
   }
-  /// Publishes `name -> node` into the directory entry table served by
-  /// `target` (or drops the entry when `invalidate`), with bounded
-  /// retries. Best-effort: an unreachable target just stays stale — the
-  /// resolve path tolerates that.
-  bool dir_update(std::size_t target, const std::string& name,
-                  std::size_t node, bool invalidate);
+  /// A DirUpdate publishing `name -> node`, counted in dir_updates().
+  /// Best-effort: an unreachable target just stays stale — the resolve
+  /// path tolerates that.
+  DirUpdate dir_update_msg(const std::string& name, std::size_t node);
   /// One directory lookup served by `target`; nullopt = unreachable.
   std::optional<DirReply> dir_lookup(std::size_t from, std::size_t target,
                                      const std::string& name);
@@ -513,15 +550,20 @@ private:
   std::size_t resolve_sharded(std::optional<std::size_t> from,
                               const std::string& object,
                               std::optional<std::size_t> stale);
-  /// Finishes publishing `name -> host` after an install at host (a
-  /// migration, or a creation). The evict leaves the source's forwarding
-  /// entry and the install the host's self-entry; `owner_written` says
-  /// that one of them is known to have reached the shard owner. Otherwise
-  /// the owner gets an acked DirUpdate. Caches are eagerly invalidated
-  /// when configured. Callers keep the object in transit until this
-  /// returns.
-  void dir_publish_move(const std::string& name, std::size_t host,
-                        bool owner_written);
+  /// `name -> host` after an install at host (a migration, or a
+  /// creation). The evict leaves the source's forwarding entry and the
+  /// install the host's self-entry; `owner_written` says that one of them
+  /// is known to have reached the shard owner.
+  struct Publication {
+    std::string name;
+    std::size_t host = 0;
+    bool owner_written = false;
+  };
+  /// Finishes publishing each entry of `moved`: every shard owner not yet
+  /// written gets a DirUpdate, all sent before any ack is awaited. Caches
+  /// are eagerly invalidated when configured. Callers keep the objects in
+  /// transit until this returns.
+  void dir_publish(const std::vector<Publication>& moved);
   /// Ends the transit of `name`, now at `host`, after repairing what a
   /// restart during the transit skipped (Meta::host_restarted,
   /// Meta::owner_restarted).

@@ -7,9 +7,11 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "fault/fault_plan.hpp"
 #include "obs/families.hpp"
+#include "param_names.hpp"
 #include "runtime/live_system.hpp"
 
 namespace omig::runtime {
@@ -271,6 +273,121 @@ TEST(LiveFaultTest, CrashScheduleOutsideNodeRangeIsRejected) {
   sys.register_type("counter", counter_factory());
   EXPECT_THROW(sys.start(), std::exception);
 }
+
+// --- faults inside a cluster hop ------------------------------------------
+//
+// A visit moves its whole closure as one batch (every evict, then every
+// install, then every owner update), so one lost or duplicated message, or
+// one crashed source, must spoil only its own member's progress.
+
+class LiveBatchFaultTest : public ::testing::TestWithParam<TransportKind> {
+protected:
+  /// Four members, one per node, attached in a chain: m0-m1-m2-m3.
+  static constexpr std::size_t kMembers = 4;
+
+  static std::string member(std::size_t i) { return "m" + std::to_string(i); }
+
+  std::unique_ptr<LiveSystem> start(const std::string& plan) {
+    LiveSystem::Options opts;
+    opts.nodes = kMembers;
+    opts.transport = GetParam();
+    opts.directory = objsys::DirectoryKind::Sharded;
+    opts.fault_plan = fault::parse_plan_text(plan);
+    opts.retry_backoff = std::chrono::milliseconds{1};
+    auto sys = make_system(std::move(opts));
+    for (std::size_t i = 0; i < kMembers; ++i) {
+      EXPECT_TRUE(sys->create(member(i), counter_state(), i));
+      if (i > 0) {
+        EXPECT_TRUE(sys->attach(member(i - 1), member(i)));
+      }
+    }
+    return sys;
+  }
+
+  /// Increments every member once from `from`.
+  static void inc_all(LiveSystem& sys, std::size_t from) {
+    for (std::size_t i = 0; i < kMembers; ++i) {
+      const InvokeResult r = sys.invoke_from(from, member(i), "inc", "");
+      EXPECT_TRUE(r.ok) << member(i) << ": " << r.value;
+    }
+  }
+
+  /// Every member is back on its origin and holds `value`.
+  static void expect_home(LiveSystem& sys, int value) {
+    for (std::size_t i = 0; i < kMembers; ++i) {
+      EXPECT_EQ(sys.location(member(i)), i) << member(i);
+      const InvokeResult r = sys.invoke(member(i), "get", "");
+      ASSERT_TRUE(r.ok) << member(i) << ": " << r.value;
+      EXPECT_EQ(r.value, std::to_string(value)) << member(i);
+    }
+  }
+
+  std::uint64_t exported_before_ = obs::runtime_metrics().retries->value();
+};
+
+TEST_P(LiveBatchFaultTest, LossyDuplicatingLinksLoseNothing) {
+  auto sys = start("seed 7\ndrop * * 0.2\ndup * * 0.2\n");
+  constexpr int kRounds = 8;
+  for (int round = 0; round < kRounds; ++round) {
+    const auto dest = static_cast<std::size_t>(round) % kMembers;
+    LiveSystem::MoveToken token = sys->visit(member(0), dest);
+    ASSERT_TRUE(token.granted);
+    for (std::size_t i = 0; i < kMembers; ++i) {
+      EXPECT_EQ(sys->location(member(i)), dest) << member(i);
+    }
+    inc_all(*sys, dest);
+    sys->end(token);
+    expect_home(*sys, round + 1);
+  }
+  // Each round moves the three members not already at dest out and back.
+  EXPECT_EQ(sys->migrations(), kRounds * 2u * (kMembers - 1));
+  EXPECT_EQ(sys->recoveries(), 0u);  // every evict was answered in budget
+  EXPECT_GT(sys->dropped_messages(), 0u);
+  EXPECT_GT(sys->duplicated_messages(), 0u);
+  EXPECT_GT(sys->retries(), 0u);
+  EXPECT_EQ(obs::runtime_metrics().retries->value() - exported_before_,
+            sys->retries());
+}
+
+TEST_P(LiveBatchFaultTest, SourceCrashMidBatchRecoversItsMember) {
+  // Evicts travel from the destination to the source, so this holds back
+  // m2's evict in the visit to node 0 long enough to crash m2's source
+  // while the batch waits for it.
+  auto sys = start("delay 0 2 150\n");
+  LiveSystem::MoveToken first = sys->visit(member(0), 0);
+  ASSERT_TRUE(first.granted);
+  inc_all(*sys, 0);
+  sys->end(first);  // every member's checkpoint now holds 1
+  expect_home(*sys, 1);
+
+  LiveSystem::MoveToken token;
+  std::thread visitor{[&] { token = sys->visit(member(0), 0); }};
+  std::this_thread::sleep_for(std::chrono::milliseconds{50});
+  sys->crash_node(2);
+  visitor.join();
+  ASSERT_TRUE(token.granted);
+  // m2 came off its checkpoint; the other members came off their sources.
+  for (std::size_t i = 0; i < kMembers; ++i) {
+    EXPECT_EQ(sys->location(member(i)), 0u) << member(i);
+  }
+  EXPECT_EQ(sys->recoveries(), 1u);
+
+  sys->restart_node(2);
+  inc_all(*sys, 0);
+  sys->end(token);
+  expect_home(*sys, 2);
+  EXPECT_EQ(sys->migrations(), 4u * (kMembers - 1));
+  EXPECT_EQ(sys->recoveries(), 1u);
+  EXPECT_EQ(sys->crashes(), 1u);
+  EXPECT_EQ(sys->restarts(), 1u);
+  EXPECT_EQ(obs::runtime_metrics().retries->value() - exported_before_,
+            sys->retries());
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, LiveBatchFaultTest,
+                         ::testing::Values(TransportKind::InProc,
+                                           TransportKind::AsyncTcp),
+                         test::ParamName{});
 
 }  // namespace
 }  // namespace omig::runtime

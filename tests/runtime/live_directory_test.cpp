@@ -96,8 +96,11 @@ TEST_P(LiveSystemDirectoryCost, OwnerUpdateOnlyWhenOwnerIsNeitherEnd) {
         std::uint64_t before = sys->dir_updates();
         ASSERT_TRUE(sys->create(name, counter(), src));
         EXPECT_EQ(sys->dir_updates() - before, owner != src ? 1u : 0u);
-        // Warm src's lookup cache, so it goes stale with the migration.
-        ASSERT_TRUE(sys->invoke_from(src, name, "add", "1").ok);
+        // Warm a bystander's lookup cache, so it goes stale with the
+        // migration; only the two ends learn the move.
+        std::size_t bystander = 0;
+        while (bystander == src || bystander == dest) ++bystander;
+        ASSERT_TRUE(sys->invoke_from(bystander, name, "add", "1").ok);
 
         before = sys->dir_updates();
         ASSERT_TRUE(sys->migrate(name, dest));
@@ -107,10 +110,22 @@ TEST_P(LiveSystemDirectoryCost, OwnerUpdateOnlyWhenOwnerIsNeitherEnd) {
         EXPECT_EQ(sys->directory_entry(src, name), dest);
         EXPECT_EQ(sys->directory_entry(dest, name), dest);
 
-        // The stale entry bounces at src; its forwarding entry names dest.
+        // Both ends' caches learned the move: a hit, no stale round.
+        for (const std::size_t end : {src, dest}) {
+          const std::uint64_t hits = sys->dir_cache_hits();
+          const std::uint64_t stale = sys->dir_stale_hits();
+          const InvokeResult r = sys->invoke_from(end, name, "get", "");
+          ASSERT_TRUE(r.ok) << r.value;
+          EXPECT_EQ(r.value, "1");
+          EXPECT_EQ(sys->dir_cache_hits() - hits, 1u);
+          EXPECT_EQ(sys->dir_stale_hits(), stale);
+        }
+
+        // The bystander's stale entry bounces at src; its forwarding entry
+        // names dest.
         const std::uint64_t stale = sys->dir_stale_hits();
         const std::uint64_t hops = sys->dir_forward_hops();
-        const InvokeResult r = sys->invoke_from(src, name, "get", "");
+        const InvokeResult r = sys->invoke_from(bystander, name, "get", "");
         ASSERT_TRUE(r.ok) << r.value;
         EXPECT_EQ(r.value, "1");
         EXPECT_EQ(sys->dir_stale_hits() - stale, 1u);

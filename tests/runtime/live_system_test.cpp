@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -223,6 +227,58 @@ TEST(LiveSystemTest, InvokeDuringMigrationNeverFails) {
   EXPECT_EQ(failures.load(), 0);
   // Only the very first migrate (0 → 0) is a no-op; the rest all relocate.
   EXPECT_EQ(sys->migrations(), 49u);
+}
+
+TEST(LiveSystemTest, OverlappingClosureMovesDoNotDeadlock) {
+  // move(B) and move(A) claim the same closure {A, B, C} while C is in
+  // transit under a migrate. A mover that claimed members one at a time
+  // and waited for the next while holding the previous could hold B and
+  // wait for A while the other held A and waited for B.
+  using namespace std::chrono_literals;
+  LiveSystem::Options opts;
+  opts.nodes = 4;
+  opts.policy = MovePolicy::Conventional;
+  opts.a_transitive_attachments = true;
+  opts.remote_latency = 20ms;  // keeps C in transit while the moves start
+  auto sys = std::make_unique<LiveSystem>(opts);
+  sys->register_type("counter", counter_factory());
+  sys->start();
+  for (const char* name : {"A", "B", "C"}) {
+    ASSERT_TRUE(sys->create(name, counter_state(), 0));
+  }
+  ASSERT_TRUE(sys->attach("B", "C", "x"));
+  ASSERT_TRUE(sys->attach("A", "B", "x"));
+
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread workload{[&] {
+    std::thread migrator{[&] { (void)sys->migrate("C", 3, "zz"); }};
+    std::this_thread::sleep_for(5ms);
+    std::thread mover_b{[&] { (void)sys->move("B", 2, "x"); }};
+    std::this_thread::sleep_for(5ms);
+    std::thread mover_a{[&] { (void)sys->move("A", 1, "x"); }};
+    migrator.join();
+    mover_b.join();
+    mover_a.join();
+    done.set_value();
+  }};
+  // Hang guard: the run takes well under a second. Deadlocked movers never
+  // return, so the test reports and leaves instead of hanging in join().
+  if (finished.wait_for(10s) != std::future_status::ready) {
+    ADD_FAILURE() << "move(B) and move(A) deadlocked on overlapping closures";
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
+  workload.join();
+
+  // The later move takes the whole closure with it: C's migrate, then
+  // three members per move.
+  const auto home = sys->location("A");
+  ASSERT_TRUE(home == 1u || home == 2u);
+  EXPECT_EQ(sys->location("B"), home);
+  EXPECT_EQ(sys->location("C"), home);
+  EXPECT_EQ(sys->migrations(), 7u);
+  EXPECT_TRUE(sys->invoke("C", "inc", "").ok);
 }
 
 TEST(LiveNodeTest, DoubleStartAndDoubleStopAreIdempotent) {
