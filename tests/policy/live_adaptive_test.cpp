@@ -107,6 +107,43 @@ TEST(LiveAdaptiveTest, LoadVetoSuppressesMovesIntoACrowdedNode) {
   sys.stop();
 }
 
+TEST(LiveAdaptiveTest, MeanLoadIsFlooredSoSparseSystemsStillMigrate) {
+  // One object over 8 nodes: the raw mean (1/8) would cap every node below
+  // one object. The floor keeps the object free to join its caller.
+  LiveSystem sys{adaptive_opts(MovePolicy::AdaptiveLoad, 8)};
+  sys.register_type("counter", counter_factory());
+  sys.start();
+  ASSERT_TRUE(sys.create("obj", counter_state(), 0));
+  for (int i = 0; i < 8; ++i) sys.invoke_from(5, "obj", "add", "");
+  auto token = sys.move("obj", 5);
+  EXPECT_EQ(sys.location("obj"), std::size_t{5});
+  EXPECT_EQ(sys.policy_suppressed_load(), 0u);
+  EXPECT_EQ(sys.policy_migrations(), 1u);
+  sys.end(token);
+  sys.stop();
+}
+
+TEST(LiveAdaptiveTest, DisablingHysteresisReproducesThePingPong) {
+  LiveSystem::Options opts = adaptive_opts(MovePolicy::Adaptive, 4);
+  opts.hysteresis_band = 0.0;
+  opts.adaptive_min_weight = 0.0;
+  LiveSystem sys{opts};
+  sys.register_type("counter", counter_factory());
+  sys.start();
+  ASSERT_TRUE(sys.create("obj", counter_state(), 0));
+  for (int round = 0; round < 16; ++round) {
+    const std::size_t caller = 1 + static_cast<std::size_t>(round % 2);
+    sys.invoke_from(caller, "obj", "add", "");
+    auto token = sys.move("obj", caller);
+    sys.end(token);
+  }
+  // Every block migrates toward the latest caller; from the third block on
+  // each move exactly undoes the previous one.
+  EXPECT_EQ(sys.policy_migrations(), 16u);
+  EXPECT_GE(sys.policy_reversals(), 14u);
+  sys.stop();
+}
+
 // One single-threaded workload, recorded at the directory layer on the
 // logical clock, must yield the identical protocol trace under the InProc
 // and the Tcp transport (live_system.hpp's determinism contract) — now

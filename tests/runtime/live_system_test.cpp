@@ -129,6 +129,58 @@ TEST(LiveSystemTest, ATransitiveAttachmentRestriction) {
   EXPECT_EQ(sys->location("foreign"), 0u);  // other context: not dragged
 }
 
+TEST(LiveSystemTest, ATransitiveMoveWithoutAllianceDragsEveryEdge) {
+  auto sys = make_system(3, /*placement=*/true, /*a_transitive=*/true);
+  for (const char* name : {"s", "mine", "foreign", "plain"}) {
+    ASSERT_TRUE(sys->create(name, counter_state(), 0));
+  }
+  ASSERT_TRUE(sys->attach("s", "mine", "my-alliance"));
+  ASSERT_TRUE(sys->attach("s", "foreign", "their-alliance"));
+  ASSERT_TRUE(sys->attach("s", "plain"));
+  // No alliance named: the closure follows edges of every context.
+  ASSERT_TRUE(sys->migrate("s", 2));
+  for (const char* name : {"s", "mine", "foreign", "plain"}) {
+    EXPECT_EQ(sys->location(name), 2u) << name;
+  }
+}
+
+TEST(LiveSystemTest, DetachRemovesTheEdgesOfEveryAlliance) {
+  auto sys = make_system(3, /*placement=*/true, /*a_transitive=*/true);
+  ASSERT_TRUE(sys->create("a", counter_state(), 0));
+  ASSERT_TRUE(sys->create("b", counter_state(), 0));
+  ASSERT_TRUE(sys->attach("a", "b", "x"));
+  ASSERT_TRUE(sys->attach("a", "b", "y"));
+  ASSERT_TRUE(sys->attach("a", "b"));
+  EXPECT_TRUE(sys->detach("a", "b"));
+  EXPECT_FALSE(sys->detach("b", "a"));  // nothing left in either direction
+  ASSERT_TRUE(sys->migrate("a", 1, "x"));
+  ASSERT_TRUE(sys->migrate("a", 2));
+  EXPECT_EQ(sys->location("a"), 2u);
+  EXPECT_EQ(sys->location("b"), 0u);
+}
+
+TEST(LiveSystemTest, AttachOnAnUnknownNameFails) {
+  auto sys = make_system(2);
+  ASSERT_TRUE(sys->create("a", counter_state(), 0));
+  EXPECT_FALSE(sys->attach("a", "ghost"));
+  EXPECT_FALSE(sys->attach("ghost", "a"));
+  EXPECT_FALSE(sys->detach("a", "ghost"));
+  ASSERT_TRUE(sys->migrate("a", 1));
+  EXPECT_EQ(sys->location("a"), 1u);
+}
+
+TEST(LiveSystemTest, CreateOnACrashedNodeLeavesNothingBehind) {
+  auto sys = make_system(2);
+  sys->crash_node(1);
+  EXPECT_FALSE(sys->create("c", counter_state(), 1));  // install rejected
+  sys->restart_node(1);
+  EXPECT_EQ(sys->recoveries(), 0u);  // restart found no ghost to reinstall
+  EXPECT_EQ(sys->location("c"), std::nullopt);
+  ASSERT_TRUE(sys->create("c", counter_state(), 1));
+  EXPECT_EQ(sys->location("c"), 1u);
+  EXPECT_EQ(sys->invoke("c", "inc", "").value, "1");
+}
+
 TEST(LiveSystemTest, PlacementRefusesConflictingMove) {
   auto sys = make_system(3);
   ASSERT_TRUE(sys->create("c", counter_state(), 0));
