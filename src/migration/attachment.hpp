@@ -65,6 +65,14 @@ public:
   [[nodiscard]] std::vector<ObjectId> closure_in(ObjectId start,
                                                  AllianceId ctx) const;
 
+  /// What a migration of `start` takes along: closure_in when A-transitive
+  /// and `ctx` names an alliance, closure otherwise. Sorted by id.
+  [[nodiscard]] std::vector<ObjectId> cluster(ObjectId start, AllianceId ctx,
+                                              bool a_transitive) const {
+    return a_transitive && ctx.valid() ? closure_in(start, ctx)
+                                       : closure(start);
+  }
+
 private:
   struct Edge {
     ObjectId peer;

@@ -38,11 +38,8 @@ MoveBlock MigrationManager::new_block(objsys::NodeId origin, ObjectId target,
 
 std::vector<ObjectId> MigrationManager::migration_cluster(
     ObjectId obj, AllianceId alliance) const {
-  if (options_.transitivity == AttachTransitivity::ATransitive &&
-      alliance.valid()) {
-    return attachments_->closure_in(obj, alliance);
-  }
-  return attachments_->closure(obj);
+  return attachments_->cluster(
+      obj, alliance, options_.transitivity == AttachTransitivity::ATransitive);
 }
 
 void MigrationManager::trace_event(trace::EventKind kind, ObjectId object,

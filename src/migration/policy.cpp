@@ -62,9 +62,9 @@ std::unique_ptr<MigrationPolicy> make_policy(PolicyKind kind,
     case PolicyKind::LoadShare:
       return std::make_unique<LoadSharePolicy>(mgr);
     case PolicyKind::Adaptive:
-      return std::make_unique<AdaptivePlacementPolicy>(mgr);
+      return std::make_unique<AdaptivePlacementPolicy>(mgr, false);
     case PolicyKind::AdaptiveLoad:
-      return std::make_unique<AdaptiveLoadPolicy>(mgr);
+      return std::make_unique<AdaptivePlacementPolicy>(mgr, true);
   }
   OMIG_REQUIRE(false, "unknown policy kind");
   return nullptr;

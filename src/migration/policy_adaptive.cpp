@@ -39,47 +39,43 @@ sim::Task AdaptivePlacementPolicy::begin_block(MoveBlock& blk) {
                "adaptive policies need a LocalityTracker attached to the "
                "MigrationManager");
   const objsys::NodeId host = reg.location(blk.target);
-  const objsys::LocalityEstimate est = tracker->estimate(blk.target, host);
   const ManagerOptions& opts = mgr_->options();
   PolicyCounters& counters = mgr_->policy_counters();
+  std::vector<ObjectId> cluster;
+  const AdaptiveDecision decision = decider_.decide(
+      blk.target, host, tracker->estimate(blk.target, host),
+      AdaptiveKnobs{.min_weight = opts.adaptive_min_weight,
+                    .hysteresis_band = opts.hysteresis_band,
+                    .load_factor = opts.load_factor,
+                    .load_aware = load_aware_},
+      [&](objsys::NodeId dest) {
+        cluster = mgr_->migration_cluster(blk.target, blk.alliance);
+        return HostLoad{.at_dest = reg.objects_at(dest),
+                        .moving = cluster.size(),
+                        .objects = reg.object_count(),
+                        .nodes = reg.node_count()};
+      });
 
-  // No recorded accesses, or the dominant caller already hosts the object:
-  // nothing to decide — the caller's calls are forwarded remotely (or are
-  // local already), exactly the placement fallback.
-  if (!est.dominant.valid() || est.dominant == host) {
-    if (host != blk.origin) {
-      mgr_->trace_event(trace::EventKind::MoveRefused, blk.target,
-                        blk.origin, blk.id);
+  if (decision.verdict == AdaptiveVerdict::Migrate) {
+    if (decision.reversal) ++counters.pingpong_reversals;
+    ++counters.migrations_triggered;
+    if (cluster.empty()) {
+      cluster = mgr_->migration_cluster(blk.target, blk.alliance);
     }
+    co_await mgr_->transfer(std::move(cluster), decision.dest, &blk);
     co_return;
   }
-
-  // Hysteresis: migrate only once the dominant node's EMA share leads the
-  // host's by the configured band, and the EMA has seen enough accesses
-  // that one early caller cannot drag the object around.
-  if (est.weight < opts.adaptive_min_weight ||
-      est.share - est.host_share < opts.hysteresis_band) {
+  if (decision.verdict == AdaptiveVerdict::Hysteresis) {
     ++counters.suppressed_hysteresis;
-    if (host != blk.origin) {
-      mgr_->trace_event(trace::EventKind::MoveRefused, blk.target,
-                        blk.origin, blk.id);
-    }
-    co_return;
-  }
-
-  auto cluster = mgr_->migration_cluster(blk.target, blk.alliance);
-  if (load_vetoes(est.dominant, cluster.size())) {
+  } else if (decision.verdict == AdaptiveVerdict::Load) {
     ++counters.suppressed_load;
-    if (host != blk.origin) {
-      mgr_->trace_event(trace::EventKind::MoveRefused, blk.target,
-                        blk.origin, blk.id);
-    }
-    co_return;
   }
-
-  note_migration(blk.target, host, est.dominant);
-  ++counters.migrations_triggered;
-  co_await mgr_->transfer(std::move(cluster), est.dominant, &blk);
+  // Not migrating: the caller's calls are forwarded remotely (or are
+  // local already), exactly the placement fallback.
+  if (host != blk.origin) {
+    mgr_->trace_event(trace::EventKind::MoveRefused, blk.target, blk.origin,
+                      blk.id);
+  }
 }
 
 void AdaptivePlacementPolicy::end_block(MoveBlock& blk) {
@@ -88,33 +84,23 @@ void AdaptivePlacementPolicy::end_block(MoveBlock& blk) {
   if (blk.visit) migrate_back(blk);
 }
 
-bool AdaptivePlacementPolicy::load_vetoes(objsys::NodeId /*dest*/,
-                                          std::size_t /*cluster_size*/) const {
-  return false;  // the plain adaptive policy ignores load
-}
-
-void AdaptivePlacementPolicy::note_migration(ObjectId obj, objsys::NodeId from,
-                                             objsys::NodeId to) {
-  auto& last = last_move_[obj];
-  if (last.first.valid() && last.first == to && last.second == from) {
-    ++mgr_->policy_counters().pingpong_reversals;
-  }
-  last = {from, to};
-}
-
-bool AdaptiveLoadPolicy::load_vetoes(objsys::NodeId dest,
-                                     std::size_t cluster_size) const {
-  const objsys::ObjectRegistry& reg = mgr_->registry();
+bool AdaptiveDecider::over_cap(const HostLoad& load, double load_factor) {
   // Mean hosted objects per node, floored at 1 so sparse populations
   // (fewer objects than nodes) can still co-locate an object with its
   // dominant caller instead of vetoing every move.
   const double mean =
-      std::max(1.0, static_cast<double>(reg.object_count()) /
-                        static_cast<double>(reg.node_count()));
-  const double cap = mgr_->options().load_factor * mean;
-  const double would_host =
-      static_cast<double>(reg.objects_at(dest) + cluster_size);
-  return would_host > cap;
+      std::max(1.0, static_cast<double>(load.objects) /
+                        static_cast<double>(load.nodes));
+  return static_cast<double>(load.at_dest + load.moving) > load_factor * mean;
+}
+
+bool AdaptiveDecider::note_migration(ObjectId obj, objsys::NodeId from,
+                                     objsys::NodeId to) {
+  auto& last = last_move_[obj];
+  const bool reversal =
+      last.first.valid() && last.first == to && last.second == from;
+  last = {from, to};
+  return reversal;
 }
 
 }  // namespace omig::migration

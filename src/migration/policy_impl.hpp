@@ -1,6 +1,7 @@
 // Concrete migration policies (one translation unit each).
 #pragma once
 
+#include "migration/adaptive.hpp"
 #include "migration/policy.hpp"
 
 namespace omig::migration {
@@ -89,46 +90,24 @@ public:
 /// EMA-dominant caller node — but only when that node's share of the recent
 /// accesses leads the current host's by the hysteresis band and the EMA has
 /// seen enough accesses to mean anything. Everything else is refused and
-/// the caller invokes remotely (the placement fallback). Requires a
+/// the caller invokes remotely (the placement fallback). The load-aware
+/// kind (AdaptiveLoad) also vetoes a dominant node that would host more
+/// than load_factor × the mean per-node object count (Section 2.2's load
+/// goal as a constraint instead of a competing policy). Requires a
 /// LocalityTracker attached to the manager.
-class AdaptivePlacementPolicy : public MigrationPolicy {
+class AdaptivePlacementPolicy final : public MigrationPolicy {
 public:
-  using MigrationPolicy::MigrationPolicy;
+  AdaptivePlacementPolicy(MigrationManager& mgr, bool load_aware)
+      : MigrationPolicy{mgr}, load_aware_{load_aware} {}
   [[nodiscard]] PolicyKind kind() const override {
-    return PolicyKind::Adaptive;
+    return load_aware_ ? PolicyKind::AdaptiveLoad : PolicyKind::Adaptive;
   }
   sim::Task begin_block(MoveBlock& blk) override;
   void end_block(MoveBlock& blk) override;
 
-protected:
-  /// Load veto hook for the load-aware variant: true suppresses an
-  /// otherwise-approved migration toward `dest` of `cluster_size` objects.
-  [[nodiscard]] virtual bool load_vetoes(objsys::NodeId dest,
-                                         std::size_t cluster_size) const;
-  /// Counts a migration that undoes the object's previous one (host and
-  /// destination swapped) into PolicyCounters::pingpong_reversals.
-  void note_migration(ObjectId obj, objsys::NodeId from, objsys::NodeId to);
-
 private:
-  /// Last completed adaptive migration per object, for reversal detection.
-  util::DenseTable<ObjectId, std::pair<objsys::NodeId, objsys::NodeId>>
-      last_move_;
-};
-
-/// Load-aware adaptive placement: like AdaptivePlacementPolicy, but a
-/// dominant node that already hosts more than load_factor × the mean
-/// per-node object count vetoes the migration (Section 2.2's load goal as a
-/// constraint instead of a competing policy).
-class AdaptiveLoadPolicy final : public AdaptivePlacementPolicy {
-public:
-  using AdaptivePlacementPolicy::AdaptivePlacementPolicy;
-  [[nodiscard]] PolicyKind kind() const override {
-    return PolicyKind::AdaptiveLoad;
-  }
-
-protected:
-  [[nodiscard]] bool load_vetoes(objsys::NodeId dest,
-                                 std::size_t cluster_size) const override;
+  bool load_aware_;
+  AdaptiveDecider decider_;
 };
 
 }  // namespace omig::migration

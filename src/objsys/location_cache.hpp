@@ -7,6 +7,10 @@
 // strategy* (docs/directory.md) decides when an entry is trusted, chased
 // through forwarding pointers, or invalidated.
 //
+// Keyed by ObjectId on every side: the live runtime gives each object a
+// dense id when it is created (or recovered from the store), so its caches
+// share this class with the simulator and the property-test model.
+//
 // Thread-safe: the live runtime invalidates entries from the migration
 // path while invocation threads look them up concurrently (the race the
 // TSan suite in tests/objsys/location_cache_test.cpp pins down). The
@@ -17,7 +21,6 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <unordered_map>
 
 #include "objsys/ids.hpp"
@@ -34,12 +37,11 @@ struct CachedLocation {
                          const CachedLocation&) = default;
 };
 
-/// Object-id (simulator / model) or name (live runtime) keyed cache.
-template <class Key>
-class BasicLocationCache {
+/// Object-id keyed cache (simulator, property-test model, live runtime).
+class LocationCache {
 public:
   /// The entry for `key`, or nullopt. Counts a hit or a miss.
-  [[nodiscard]] std::optional<CachedLocation> get(const Key& key) const {
+  [[nodiscard]] std::optional<CachedLocation> get(ObjectId key) const {
     std::lock_guard lock{mutex_};
     auto it = map_.find(key);
     if (it == map_.end()) {
@@ -50,14 +52,14 @@ public:
     return it->second;
   }
 
-  void put(const Key& key, std::uint64_t node, std::uint64_t stamp) {
+  void put(ObjectId key, std::uint64_t node, std::uint64_t stamp) {
     std::lock_guard lock{mutex_};
     map_[key] = CachedLocation{node, stamp};
   }
 
   /// Drops the entry; true if one was present (an invalidation that
   /// actually reached cached state, the count eager strategies report).
-  bool invalidate(const Key& key) {
+  bool invalidate(ObjectId key) {
     std::lock_guard lock{mutex_};
     if (map_.erase(key) == 0) return false;
     ++invalidations_;
@@ -90,18 +92,10 @@ public:
 
 private:
   mutable std::mutex mutex_;
-  std::unordered_map<Key, CachedLocation> map_;
+  std::unordered_map<ObjectId, CachedLocation> map_;
   mutable std::uint64_t hits_ = 0;
   mutable std::uint64_t misses_ = 0;
   std::uint64_t invalidations_ = 0;
 };
-
-/// The two key spaces in use: the simulator / property-test model caches
-/// by ObjectId, the live runtime by object name.
-using LocationCache = BasicLocationCache<ObjectId>;
-using NamedLocationCache = BasicLocationCache<std::string>;
-
-extern template class BasicLocationCache<ObjectId>;
-extern template class BasicLocationCache<std::string>;
 
 }  // namespace omig::objsys

@@ -28,6 +28,9 @@
 // ≤ shard-count hops, and stale hits are bounded by the strategy. The live
 // runtime implements the same protocol over real wire messages
 // (DirLookup/DirUpdate, see src/transport/wire.hpp and runtime/live_system).
+// There the nodes' slices and the shard hash use object names, the key the
+// wire carries, while the coordinator's lookup caches are this module's
+// id-keyed LocationCache over the dense ids it assigns at create().
 #pragma once
 
 #include <cstddef>

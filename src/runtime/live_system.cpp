@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <stdexcept>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "obs/families.hpp"
@@ -35,12 +33,19 @@ std::uint64_t now_ms() {
           .count());
 }
 
-/// `names` as relocate() batch members (LiveSystem::Move) bound for `dest`.
-std::vector<std::pair<std::string, std::size_t>> bound_for(
-    const std::vector<std::string>& names, std::size_t dest) {
-  std::vector<std::pair<std::string, std::size_t>> moves;
-  moves.reserve(names.size());
-  for (const std::string& name : names) moves.emplace_back(name, dest);
+/// The id `name` has in `index`, assigned as the next one on first use.
+template <class Id>
+Id intern(std::unordered_map<std::string, Id>& index, const std::string& name) {
+  return index.try_emplace(name, static_cast<std::uint32_t>(index.size()))
+      .first->second;
+}
+
+/// `ids` as relocate() batch members (LiveSystem::Move) bound for `dest`.
+std::vector<std::pair<objsys::ObjectId, std::size_t>> bound_for(
+    const std::vector<objsys::ObjectId>& ids, std::size_t dest) {
+  std::vector<std::pair<objsys::ObjectId, std::size_t>> moves;
+  moves.reserve(ids.size());
+  for (const objsys::ObjectId id : ids) moves.emplace_back(id, dest);
   return moves;
 }
 }  // namespace
@@ -101,7 +106,7 @@ void LiveSystem::start() {
     caches_.clear();
     caches_.reserve(count + 1);
     for (std::size_t i = 0; i <= count; ++i) {
-      caches_.push_back(std::make_unique<objsys::NamedLocationCache>());
+      caches_.push_back(std::make_unique<objsys::LocationCache>());
     }
   }
   if (!options_.fault_plan.empty()) {
@@ -200,19 +205,17 @@ void LiveSystem::recover_from_store() {
     if (!state.has_value() || !factories_.contains(state->type)) continue;
     const auto node = static_cast<std::size_t>(obj.node);
     if (node >= node_count()) continue;
+    objsys::ObjectId id;
     {
       std::lock_guard lock{mutex_};
-      Meta meta;
-      meta.node = node;
-      meta.checkpoint = *state;
-      meta.moves = obj.cursor;
-      meta.durable = true;
-      directory_[name] = std::move(meta);
+      id = intern(ids_, name);
+      directory_[id] = Meta{.name = name, .node = node, .checkpoint = *state,
+                            .moves = obj.cursor, .durable = true};
     }
     if (install_with_retry(node, name, *state, kExternalSender)) {
       replayed_objects_.fetch_add(1, std::memory_order_relaxed);
       if (sharded()) {
-        dir_publish({{name, node, shard_owner(shard_of(name)) == node}});
+        dir_publish({{id, name, node, shard_owner(shard_of(name)) == node}});
       }
     }
   }
@@ -377,25 +380,31 @@ bool LiveSystem::create(const std::string& name, ObjectState state,
   OMIG_REQUIRE(started_, "start() the system first");
   OMIG_REQUIRE(node < node_count(), "node index out of range");
   if (!factories_.contains(state.type)) return false;
+  objsys::ObjectId id;
   {
     std::lock_guard lock{mutex_};
-    if (directory_.contains(name)) return false;
-    Meta meta;
+    id = intern(ids_, name);
+    auto [meta, inserted] = directory_.try_emplace(id);
+    if (!inserted) return false;
+    meta.name = name;
     meta.node = node;
     meta.checkpoint = state;  // creation-time recovery checkpoint
-    directory_[name] = std::move(meta);
-    trace_locked(trace::EventKind::ReplicaCreated, name, node);
+    trace_locked(trace::EventKind::ReplicaCreated, id, node);
   }
   const bool ok = install_with_retry(node, name, state, kExternalSender);
   if (!ok) {
+    // Free the slot and any attachment made while the install ran.
     std::lock_guard lock{mutex_};
-    directory_.erase(name);
+    for (const objsys::ObjectId peer : attachments_.closure(id)) {
+      attachments_.detach(id, peer);
+    }
+    directory_.erase(id);
     return false;
   }
   // The install left the host's self-entry; seed the shard owner's slice
   // too when another node serves it.
   if (sharded()) {
-    dir_publish({{name, node, shard_owner(shard_of(name)) == node}});
+    dir_publish({{id, name, node, shard_owner(shard_of(name)) == node}});
   }
   if (store_ != nullptr) {
     // Persist the creation checkpoint; only a fsynced append upgrades the
@@ -403,8 +412,7 @@ bool LiveSystem::create(const std::string& name, ObjectState state,
     const auto outcome = store_->checkpoint(name, node, 0, encode(state));
     if (outcome.durable) {
       std::lock_guard lock{mutex_};
-      auto it = directory_.find(name);
-      if (it != directory_.end()) it->second.durable = true;
+      if (Meta* meta = directory_.find(id)) meta->durable = true;
     }
   }
   return true;
@@ -413,9 +421,9 @@ bool LiveSystem::create(const std::string& name, ObjectState state,
 std::optional<std::size_t> LiveSystem::location(
     const std::string& name) const {
   std::lock_guard lock{mutex_};
-  auto it = directory_.find(name);
-  if (it == directory_.end()) return std::nullopt;
-  return it->second.node;
+  const objsys::ObjectId id = id_of_locked(name);
+  if (!id.valid()) return std::nullopt;
+  return directory_.find(id)->node;
 }
 
 InvokeResult LiveSystem::invoke(const std::string& object,
@@ -450,29 +458,27 @@ InvokeResult LiveSystem::invoke_impl(std::optional<std::size_t> from,
   bool locality_recorded = false;
   for (;;) {
     std::size_t node;
+    objsys::ObjectId id;
     {
       std::unique_lock lock{mutex_};
-      auto it = directory_.find(object);
-      if (it == directory_.end()) {
-        return InvokeResult{false, "unknown object: " + object};
-      }
+      id = id_of_locked(object);
       // "The call is blocked until the object is operational once again."
+      const Meta* meta = nullptr;
       transit_cv_.wait(lock, [&] {
-        auto cur = directory_.find(object);
-        return cur == directory_.end() || !cur->second.in_transit;
+        meta = id.valid() ? directory_.find(id) : nullptr;
+        return meta == nullptr || !meta->in_transit;
       });
-      it = directory_.find(object);
-      if (it == directory_.end()) {
+      if (meta == nullptr) {
         return InvokeResult{false, "unknown object: " + object};
       }
-      node = it->second.node;
+      node = meta->node;
       if (!locality_recorded && from.has_value()) {
-        record_locality_locked(object, *from);
+        record_locality_locked(id, *from);
         locality_recorded = true;
       }
     }
     if (sharded()) {
-      node = resolve_sharded(from, object, stale);
+      node = resolve_sharded(from, id, object, stale);
       stale.reset();
     }
     invocations_.fetch_add(1, std::memory_order_relaxed);
@@ -522,78 +528,67 @@ InvokeResult LiveSystem::invoke_impl(std::optional<std::size_t> from,
   }
 }
 
+objsys::ObjectId LiveSystem::id_of_locked(const std::string& name) const {
+  const auto it = ids_.find(name);
+  return it != ids_.end() && directory_.contains(it->second)
+             ? it->second
+             : objsys::ObjectId::invalid();
+}
+
+LiveSystem::Meta& LiveSystem::meta_locked(objsys::ObjectId id) {
+  Meta* meta = directory_.find(id);
+  OMIG_ASSERT(meta != nullptr);
+  return *meta;
+}
+
+objsys::AllianceId LiveSystem::alliance_locked(const std::string& name) {
+  return name.empty() ? objsys::AllianceId::invalid()
+                      : intern(alliances_, name);
+}
+
 void LiveSystem::fix(const std::string& name) {
   std::lock_guard lock{mutex_};
-  auto it = directory_.find(name);
-  OMIG_REQUIRE(it != directory_.end(), "fix: unknown object");
-  it->second.fixed = true;
-  trace_locked(trace::EventKind::Fix, name, kExternalSender);
+  const objsys::ObjectId id = id_of_locked(name);
+  OMIG_REQUIRE(id.valid(), "fix: unknown object");
+  meta_locked(id).fixed = true;
+  trace_locked(trace::EventKind::Fix, id, kExternalSender);
 }
 
 void LiveSystem::unfix(const std::string& name) {
   std::lock_guard lock{mutex_};
-  auto it = directory_.find(name);
-  OMIG_REQUIRE(it != directory_.end(), "unfix: unknown object");
-  it->second.fixed = false;
-  trace_locked(trace::EventKind::Unfix, name, kExternalSender);
+  const objsys::ObjectId id = id_of_locked(name);
+  OMIG_REQUIRE(id.valid(), "unfix: unknown object");
+  meta_locked(id).fixed = false;
+  trace_locked(trace::EventKind::Unfix, id, kExternalSender);
 }
 
 bool LiveSystem::is_fixed(const std::string& name) const {
   std::lock_guard lock{mutex_};
-  auto it = directory_.find(name);
-  OMIG_REQUIRE(it != directory_.end(), "is_fixed: unknown object");
-  return it->second.fixed;
+  const objsys::ObjectId id = id_of_locked(name);
+  OMIG_REQUIRE(id.valid(), "is_fixed: unknown object");
+  return directory_.find(id)->fixed;
 }
 
 bool LiveSystem::attach(const std::string& a, const std::string& b,
                         const std::string& alliance) {
-  if (a == b) return false;
   std::lock_guard lock{mutex_};
-  if (!directory_.contains(a) || !directory_.contains(b)) return false;
-  auto& ea = attachments_[a];
-  if (std::any_of(ea.begin(), ea.end(), [&](const AttachEdge& e) {
-        return e.peer == b && e.alliance == alliance;
-      })) {
-    return false;
-  }
-  ea.push_back(AttachEdge{b, alliance});
-  attachments_[b].push_back(AttachEdge{a, alliance});
-  return true;
+  const objsys::ObjectId ia = id_of_locked(a);
+  const objsys::ObjectId ib = id_of_locked(b);
+  if (!ia.valid() || !ib.valid()) return false;
+  return attachments_.attach(ia, ib, alliance_locked(alliance));
 }
 
 bool LiveSystem::detach(const std::string& a, const std::string& b) {
   std::lock_guard lock{mutex_};
-  auto erase = [&](const std::string& from, const std::string& peer) {
-    auto it = attachments_.find(from);
-    if (it == attachments_.end()) return false;
-    const auto before = it->second.size();
-    std::erase_if(it->second,
-                  [&](const AttachEdge& e) { return e.peer == peer; });
-    return it->second.size() != before;
-  };
-  const bool removed = erase(a, b);
-  erase(b, a);
-  return removed;
+  const objsys::ObjectId ia = id_of_locked(a);
+  const objsys::ObjectId ib = id_of_locked(b);
+  return ia.valid() && ib.valid() && attachments_.detach(ia, ib);
 }
 
-std::vector<std::string> LiveSystem::closure_locked(
-    const std::string& object, const std::string& alliance) const {
-  const bool restrict = options_.a_transitive_attachments && !alliance.empty();
-  std::vector<std::string> out;
-  std::unordered_set<std::string> seen{object};
-  std::deque<std::string> frontier{object};
-  while (!frontier.empty()) {
-    std::string cur = frontier.front();
-    frontier.pop_front();
-    out.push_back(cur);
-    auto it = attachments_.find(cur);
-    if (it == attachments_.end()) continue;
-    for (const AttachEdge& e : it->second) {
-      if (restrict && e.alliance != alliance) continue;
-      if (seen.insert(e.peer).second) frontier.push_back(e.peer);
-    }
-  }
-  return out;
+std::vector<objsys::ObjectId> LiveSystem::closure_locked(
+    objsys::ObjectId id, const std::string& alliance) {
+  return attachments_.cluster(id, alliance_locked(alliance),
+                              options_.a_transitive_attachments);
 }
 
 std::vector<LiveSystem::Move> LiveSystem::claim_locked(
@@ -603,19 +598,18 @@ std::vector<LiveSystem::Move> LiveSystem::claim_locked(
   // between two claims.
   transit_cv_.wait(lock, [&] {
     return std::none_of(moves.begin(), moves.end(), [&](const Move& move) {
-      auto it = directory_.find(move.first);
-      return it != directory_.end() && it->second.in_transit;
+      const Meta* meta = directory_.find(move.first);
+      return meta != nullptr && meta->in_transit;
     });
   });
   std::vector<Move> claimed;
-  for (const auto& [name, dest] : moves) {
-    auto it = directory_.find(name);
-    if (it == directory_.end()) continue;
-    Meta& meta = it->second;
-    if (meta.fixed || (skip_resident && meta.node == dest)) continue;
-    meta.in_transit = true;
-    trace_locked(trace::EventKind::MigrationStart, name, dest, block);
-    claimed.emplace_back(name, dest);
+  for (const auto& [id, dest] : moves) {
+    Meta* meta = directory_.find(id);
+    if (meta == nullptr) continue;
+    if (meta->fixed || (skip_resident && meta->node == dest)) continue;
+    meta->in_transit = true;
+    trace_locked(trace::EventKind::MigrationStart, id, dest, block);
+    claimed.emplace_back(id, dest);
   }
   return claimed;
 }
@@ -624,7 +618,8 @@ void LiveSystem::relocate(const std::vector<Move>& moves) {
   const auto wall_start = std::chrono::steady_clock::now();
   // One member's progress through the hop's phases.
   struct Hop {
-    const std::string* name = nullptr;
+    objsys::ObjectId id;
+    std::string name;
     std::size_t src = 0;
     std::size_t dest = 0;
     std::size_t target = 0;  ///< where the object ends up
@@ -641,12 +636,13 @@ void LiveSystem::relocate(const std::vector<Move>& moves) {
   {
     std::lock_guard lock{mutex_};
     for (const Move& move : moves) {
-      const std::size_t src = directory_.at(move.first).node;
-      if (src == move.second) {
+      const Meta& meta = meta_locked(move.first);
+      if (meta.node == move.second) {
         resident.push_back(&move);
       } else {
-        hops.push_back({.name = &move.first,
-                        .src = src,
+        hops.push_back({.id = move.first,
+                        .name = meta.name,
+                        .src = meta.node,
                         .dest = move.second,
                         .target = move.second});
       }
@@ -662,7 +658,7 @@ void LiveSystem::relocate(const std::vector<Move>& moves) {
   evicts.reserve(hops.size());
   for (const Hop& hop : hops) {
     Evict evict{.seq = next_seq_.fetch_add(1, std::memory_order_relaxed),
-                .name = *hop.name,
+                .name = hop.name,
                 .forward_to = std::nullopt};
     if (sharded()) evict.forward_to = static_cast<std::uint64_t>(hop.dest);
     evicts.push_back(
@@ -681,7 +677,7 @@ void LiveSystem::relocate(const std::vector<Move>& moves) {
         // recover the last checkpoint. Degraded mode — updates since the
         // checkpoint are gone, but the object itself survives
         // (docs/fault_model.md).
-        state = directory_.at(*hop.name).checkpoint;
+        state = meta_locked(hop.id).checkpoint;
         recoveries_.fetch_add(1, std::memory_order_relaxed);
         obs::runtime_metrics().recoveries->inc();
       }
@@ -704,7 +700,7 @@ void LiveSystem::relocate(const std::vector<Move>& moves) {
     // The state now in flight becomes each object's recovery checkpoint.
     std::lock_guard lock{mutex_};
     for (Hop& hop : hops) {
-      directory_.at(*hop.name).checkpoint = hop.state;
+      meta_locked(hop.id).checkpoint = hop.state;
       hop.target_restarts = node_restarts_[hop.dest];
     }
   }
@@ -714,7 +710,7 @@ void LiveSystem::relocate(const std::vector<Move>& moves) {
   for (const Hop& hop : hops) {
     installs.push_back({.from = hop.src,
                         .to = hop.dest,
-                        .body = install_msg(*hop.name, hop.state)});
+                        .body = install_msg(hop.name, hop.state)});
   }
   request_batch(std::span{installs});
   // Destination died mid-move: put the object back on the source. If that
@@ -738,7 +734,7 @@ void LiveSystem::relocate(const std::vector<Move>& moves) {
   for (const Hop* hop : returned) {
     fallbacks.push_back({.from = hop->dest,
                          .to = hop->src,
-                         .body = install_msg(*hop->name, hop->state)});
+                         .body = install_msg(hop->name, hop->state)});
   }
   request_batch(std::span{fallbacks});
   for (std::size_t i = 0; i < returned.size(); ++i) {
@@ -748,7 +744,7 @@ void LiveSystem::relocate(const std::vector<Move>& moves) {
   {
     std::lock_guard lock{mutex_};
     for (Hop& hop : hops) {
-      Meta& meta = directory_.at(*hop.name);
+      Meta& meta = meta_locked(hop.id);
       meta.node = hop.target;
       meta.host_restarted =
           node_restarts_[hop.target] != hop.target_restarts;
@@ -765,11 +761,11 @@ void LiveSystem::relocate(const std::vector<Move>& moves) {
       // The owner already holds `name -> target` if it is the target and
       // acked the install, or it is the source, answered the evict, and
       // the object left it.
-      const std::size_t owner = shard_owner(shard_of(*hop.name));
+      const std::size_t owner = shard_owner(shard_of(hop.name));
       const bool owner_written =
           (owner == hop.target && hop.installed) ||
           (owner == hop.src && hop.target != hop.src && hop.evict_answered);
-      published.push_back({*hop.name, hop.target, owner_written});
+      published.push_back({hop.id, hop.name, hop.target, owner_written});
     }
     dir_publish(published);
     // Both ends' lookup caches learn the move; their own tables already
@@ -778,23 +774,22 @@ void LiveSystem::relocate(const std::vector<Move>& moves) {
     for (const Hop& hop : hops) {
       if (!hop.installed) continue;
       const auto target = static_cast<std::uint64_t>(hop.target);
-      caches_[hop.src]->put(*hop.name, target, stamp);
-      caches_[hop.target]->put(*hop.name, target, stamp);
+      caches_[hop.src]->put(hop.id, target, stamp);
+      caches_[hop.target]->put(hop.id, target, stamp);
     }
   }
-  for (const Hop& hop : hops) end_transit(*hop.name, hop.target);
+  for (const Hop& hop : hops) end_transit(hop.id, hop.target);
 
   for (const Hop& hop : hops) {
     if (store_ != nullptr && hop.target != hop.src) {
       // Log the location change, then checkpoint the in-flight state under
       // the new home — both fsynced before relocate() acks the migration,
       // so no acked migration is ever lost (docs/durability.md).
-      (void)store_->migration(*hop.name, hop.src, hop.target);
-      const auto outcome = store_->checkpoint(*hop.name, hop.target,
+      (void)store_->migration(hop.name, hop.src, hop.target);
+      const auto outcome = store_->checkpoint(hop.name, hop.target,
                                               hop.cursor, encode(hop.state));
       std::lock_guard lock{mutex_};
-      auto it = directory_.find(*hop.name);
-      if (it != directory_.end()) it->second.durable = outcome.durable;
+      meta_locked(hop.id).durable = outcome.durable;
     }
     if (hop.target == hop.dest) {
       migrations_.fetch_add(1, std::memory_order_relaxed);
@@ -813,9 +808,10 @@ bool LiveSystem::migrate(const std::string& object, std::size_t dest,
   std::vector<Move> to_move;
   {
     std::unique_lock lock{mutex_};
-    if (!directory_.contains(object)) return false;
+    const objsys::ObjectId id = id_of_locked(object);
+    if (!id.valid()) return false;
     to_move = claim_locked(
-        lock, bound_for(closure_locked(object, alliance), dest), 0, false);
+        lock, bound_for(closure_locked(id, alliance), dest), 0, false);
   }
   relocate(to_move);
   return true;
@@ -838,10 +834,10 @@ LiveSystem::MoveToken LiveSystem::move(const std::string& object,
   std::vector<Move> to_move;
   {
     std::unique_lock lock{mutex_};
-    auto it = directory_.find(object);
-    if (it == directory_.end()) return token;  // not granted
+    const objsys::ObjectId id = id_of_locked(object);
+    if (!id.valid()) return token;  // not granted
     token.id = next_token_++;
-    trace_locked(trace::EventKind::BlockBegin, object, dest, token.id);
+    trace_locked(trace::EventKind::BlockBegin, id, dest, token.id);
 
     // The adaptive kinds treat `dest` as advisory: the closure relocates
     // to the EMA's choice (the current host when the telemetry says stay,
@@ -852,106 +848,104 @@ LiveSystem::MoveToken LiveSystem::move(const std::string& object,
       // A lock whose lease ran out belongs to a block that died (node
       // crash) or stalled past its budget: release everything it holds —
       // the objects stay in place — and let this move proceed.
-      if (lease_expired(it->second)) expire_lease(it->second.locked_by);
+      const Meta& meta = meta_locked(id);
+      if (lease_expired(meta)) expire_lease(meta.locked_by);
       // Transient placement: a conflicting unfinished move refuses us.
-      if (it->second.locked_by != 0 || it->second.fixed) {
+      if (meta.locked_by != 0 || meta.fixed) {
         refused_.fetch_add(1, std::memory_order_relaxed);
         obs::runtime_metrics().refused_moves->inc();
-        trace_locked(trace::EventKind::MoveRefused, object, dest, token.id);
+        trace_locked(trace::EventKind::MoveRefused, id, dest, token.id);
         return token;  // granted = false: caller invokes remotely
       }
-      if (adaptive_policy()) {
-        target = adaptive_target_locked(object, alliance);
-      }
+      if (adaptive_policy()) target = adaptive_target_locked(id, alliance);
       const auto lease_deadline =
           std::chrono::steady_clock::now() + options_.lock_lease;
-      for (const std::string& name : closure_locked(object, alliance)) {
-        Meta& meta = directory_.at(name);
-        if (lease_expired(meta)) expire_lease(meta.locked_by);
-        if (meta.locked_by != 0) continue;  // partial move
-        meta.locked_by = token.id;
-        meta.lease_expiry = lease_deadline;
+      std::vector<objsys::ObjectId> locked;
+      for (const objsys::ObjectId member : closure_locked(id, alliance)) {
+        Meta& m = meta_locked(member);
+        if (lease_expired(m)) expire_lease(m.locked_by);
+        if (m.locked_by != 0) continue;  // partial move
+        m.locked_by = token.id;
+        m.lease_expiry = lease_deadline;
         obs::runtime_metrics().lease_acquisitions->inc();
         if (store_ != nullptr) {
           // Audit record, unsynced: lease grants ride on the next synced
           // append (recovery never restores leases — they expire).
-          (void)store_->lease(name, token.id);
+          (void)store_->lease(m.name, token.id);
         }
-        token.locked.push_back(name);
-        trace_locked(trace::EventKind::Lock, name, target, token.id);
+        locked.push_back(member);
+        token.locked.push_back(m.name);
+        trace_locked(trace::EventKind::Lock, member, target, token.id);
       }
-      to_move = claim_locked(lock, bound_for(token.locked, target), token.id,
-                             false);
+      to_move =
+          claim_locked(lock, bound_for(locked, target), token.id, false);
     } else {
       // Conventional: always migrate, no locks.
       to_move = claim_locked(
-          lock, bound_for(closure_locked(object, alliance), dest), token.id,
+          lock, bound_for(closure_locked(id, alliance), dest), token.id,
           false);
     }
     token.granted = true;
     for (const Move& move : to_move) {
-      token.origins.emplace_back(move.first, directory_.at(move.first).node);
+      const Meta& meta = meta_locked(move.first);
+      token.origins.emplace_back(meta.name, meta.node);
     }
   }
   relocate(to_move);
   return token;
 }
 
-void LiveSystem::record_locality_locked(const std::string& object,
+void LiveSystem::record_locality_locked(objsys::ObjectId id,
                                         std::size_t from) {
   if (locality_ == nullptr || from >= node_count()) return;
-  auto [it, inserted] = locality_ids_.try_emplace(
-      object, static_cast<std::uint32_t>(locality_ids_.size()));
-  locality_->record(objsys::ObjectId{it->second},
-                    objsys::NodeId{static_cast<std::uint32_t>(from)});
+  locality_->record(id, objsys::NodeId{static_cast<std::uint32_t>(from)});
   ema_updates_.fetch_add(1, std::memory_order_relaxed);
   policy_obs_->ema_updates->inc();
 }
 
-std::size_t LiveSystem::adaptive_target_locked(const std::string& object,
+std::size_t LiveSystem::adaptive_target_locked(objsys::ObjectId id,
                                                const std::string& alliance) {
-  const Meta& meta = directory_.at(object);
-  const std::size_t host = meta.node;
-  const auto id_it = locality_ids_.find(object);
-  if (id_it == locality_ids_.end()) return host;  // never invoked: no data
-  const objsys::LocalityEstimate est = locality_->estimate(
-      objsys::ObjectId{id_it->second},
-      objsys::NodeId{static_cast<std::uint32_t>(host)});
-  if (!est.dominant.valid() || est.dominant.value() == host) return host;
-  if (est.weight < options_.adaptive_min_weight ||
-      est.share - est.host_share < options_.hysteresis_band) {
-    policy_suppressed_hysteresis_.fetch_add(1, std::memory_order_relaxed);
-    policy_obs_->suppressed_hysteresis->inc();
-    return host;
-  }
-  const std::size_t dest = est.dominant.value();
-  if (options_.policy == MovePolicy::AdaptiveLoad) {
-    std::size_t at_dest = 0;
-    for (const auto& [name, m] : directory_) at_dest += m.node == dest;
-    const std::size_t cluster = closure_locked(object, alliance).size();
-    // Mean hosted objects per node, floored at 1 — same sparse-population
-    // rule as the simulator policy (src/migration/policy_adaptive.cpp).
-    const double mean =
-        std::max(1.0, static_cast<double>(directory_.size()) /
-                          static_cast<double>(node_count()));
-    if (static_cast<double>(at_dest + cluster) >
-        options_.load_factor * mean) {
+  const std::size_t host = meta_locked(id).node;
+  const objsys::NodeId host_id{static_cast<std::uint32_t>(host)};
+  const migration::AdaptiveDecision decision = adaptive_.decide(
+      id, host_id, locality_->estimate(id, host_id),
+      migration::AdaptiveKnobs{
+          .min_weight = options_.adaptive_min_weight,
+          .hysteresis_band = options_.hysteresis_band,
+          .load_factor = options_.load_factor,
+          .load_aware = options_.policy == MovePolicy::AdaptiveLoad},
+      [&](objsys::NodeId dest) {
+        std::size_t at_dest = 0;
+        directory_.for_each([&](objsys::ObjectId, const Meta& meta) {
+          at_dest += meta.node == dest.value();
+        });
+        return migration::HostLoad{
+            .at_dest = at_dest,
+            .moving = closure_locked(id, alliance).size(),
+            .objects = directory_.size(),
+            .nodes = node_count()};
+      });
+  switch (decision.verdict) {
+    case migration::AdaptiveVerdict::Stay:
+      return host;
+    case migration::AdaptiveVerdict::Hysteresis:
+      policy_suppressed_hysteresis_.fetch_add(1, std::memory_order_relaxed);
+      policy_obs_->suppressed_hysteresis->inc();
+      return host;
+    case migration::AdaptiveVerdict::Load:
       policy_suppressed_load_.fetch_add(1, std::memory_order_relaxed);
       policy_obs_->suppressed_load->inc();
       return host;
-    }
+    case migration::AdaptiveVerdict::Migrate:
+      break;
   }
-  auto [move_it, first] = last_policy_move_.try_emplace(object, host, dest);
-  if (!first) {
-    if (move_it->second.first == dest && move_it->second.second == host) {
-      policy_reversals_.fetch_add(1, std::memory_order_relaxed);
-      policy_obs_->pingpong_reversals->inc();
-    }
-    move_it->second = {host, dest};
+  if (decision.reversal) {
+    policy_reversals_.fetch_add(1, std::memory_order_relaxed);
+    policy_obs_->pingpong_reversals->inc();
   }
   policy_migrations_.fetch_add(1, std::memory_order_relaxed);
   policy_obs_->migrations_triggered->inc();
-  return dest;
+  return decision.dest.value();
 }
 
 void LiveSystem::end(MoveToken& token) {
@@ -959,25 +953,33 @@ void LiveSystem::end(MoveToken& token) {
   {
     std::lock_guard lock{mutex_};
     for (const std::string& name : token.locked) {
-      auto it = directory_.find(name);
+      const objsys::ObjectId id = id_of_locked(name);
+      if (!id.valid()) continue;
       // locked_by may no longer be ours: the lease may have expired and
       // another block taken over — only release what we still hold.
-      if (it != directory_.end() && it->second.locked_by == token.id) {
-        it->second.locked_by = 0;
-        trace_locked(trace::EventKind::Unlock, name, kExternalSender,
+      Meta& meta = meta_locked(id);
+      if (meta.locked_by == token.id) {
+        meta.locked_by = 0;
+        trace_locked(trace::EventKind::Unlock, id, kExternalSender,
                      token.id);
       }
     }
     token.locked.clear();
-    trace_locked(trace::EventKind::BlockEnd, "", kExternalSender, token.id);
+    trace_locked(trace::EventKind::BlockEnd, objsys::ObjectId::invalid(),
+                 kExternalSender, token.id);
   }
   if (token.visit && token.granted) {
     // visit(): the objects migrate back to where they came from, as one
     // hop.
+    std::vector<Move> origins;
     std::vector<Move> home;
     {
       std::unique_lock lock{mutex_};
-      home = claim_locked(lock, token.origins, token.id, true);
+      for (const auto& [name, origin] : token.origins) {
+        const objsys::ObjectId id = id_of_locked(name);
+        if (id.valid()) origins.emplace_back(id, origin);
+      }
+      home = claim_locked(lock, origins, token.id, true);
     }
     relocate(home);
     token.origins.clear();
@@ -992,29 +994,25 @@ bool LiveSystem::lease_expired(const Meta& meta) const {
 void LiveSystem::expire_lease(std::uint64_t token) {
   // The whole block's lease expires at once: every lock it holds is
   // released and the objects stay where they are ("released in place").
-  for (auto& [name, meta] : directory_) {
+  directory_.for_each([&](objsys::ObjectId id, Meta& meta) {
     if (meta.locked_by == token) {
       meta.locked_by = 0;
-      trace_locked(trace::EventKind::Unlock, name, kExternalSender, token);
+      trace_locked(trace::EventKind::Unlock, id, kExternalSender, token);
     }
-  }
+  });
   lease_expiries_.fetch_add(1, std::memory_order_relaxed);
   obs::runtime_metrics().lease_expiries->inc();
 }
 
-void LiveSystem::trace_locked(trace::EventKind kind,
-                              const std::string& object, std::size_t node,
-                              std::uint64_t block) {
+void LiveSystem::trace_locked(trace::EventKind kind, objsys::ObjectId object,
+                              std::size_t node, std::uint64_t block) {
   if (options_.trace == nullptr) return;
   trace::Event event;
   // Logical time: transport backends interleave wall-clock time
   // differently, but the directory orders protocol events identically.
   event.time = static_cast<double>(trace_clock_++);
   event.kind = kind;
-  if (!object.empty()) {
-    event.object = objsys::ObjectId{
-        static_cast<std::uint32_t>(object_trace_id_locked(object))};
-  }
+  event.object = object;
   if (node < node_count()) {
     event.node = objsys::NodeId{static_cast<std::uint32_t>(node)};
   }
@@ -1022,12 +1020,6 @@ void LiveSystem::trace_locked(trace::EventKind kind,
     event.block = objsys::BlockId{static_cast<std::uint32_t>(block)};
   }
   options_.trace->record(event);
-}
-
-std::uint64_t LiveSystem::object_trace_id_locked(const std::string& name) {
-  const auto [it, inserted] = object_ids_.try_emplace(name, next_object_id_);
-  if (inserted) ++next_object_id_;
-  return it->second;
 }
 
 void LiveSystem::crash_node(std::size_t node) {
@@ -1072,32 +1064,28 @@ void LiveSystem::restart_node(std::size_t node) {
   // migration evicts it before the reinstall lands. In-transit objects are
   // skipped — their migration is in progress, and end_transit() reinstalls
   // them if they end up here.
-  struct Restore {
-    std::string name;
-    ObjectState state;
-    bool durable;
-  };
-  std::vector<Restore> to_restore;
+  std::vector<std::pair<objsys::ObjectId, Meta>> to_restore;
   {
     std::lock_guard lock{mutex_};
     node_down_[node] = 0;
     ++node_restarts_[node];
-    for (auto& [name, meta] : directory_) {
-      if (meta.node != node) continue;
+    directory_.for_each([&](objsys::ObjectId id, Meta& meta) {
+      if (meta.node != node) return;
       if (meta.in_transit) {
         meta.host_restarted = true;
-        continue;
+        return;
       }
       meta.in_transit = true;
-      to_restore.push_back({name, meta.checkpoint, meta.durable});
-    }
+      to_restore.emplace_back(id, meta);
+    });
   }
   // Each reinstall records its own self-entry (sharded directory).
-  for (const auto& [name, state, durable] : to_restore) {
-    if (install_with_retry(node, name, state, kExternalSender)) {
+  for (const auto& [id, meta] : to_restore) {
+    if (install_with_retry(node, meta.name, meta.checkpoint,
+                           kExternalSender)) {
       recoveries_.fetch_add(1, std::memory_order_relaxed);
       obs::runtime_metrics().recoveries->inc();
-      if (durable) {
+      if (meta.durable) {
         // The checkpoint that revived this object was disk-backed — the
         // distinction durable_recoveries() reports.
         durable_recoveries_.fetch_add(1, std::memory_order_relaxed);
@@ -1105,7 +1093,7 @@ void LiveSystem::restart_node(std::size_t node) {
     }
     {
       std::lock_guard lock{mutex_};
-      directory_.at(name).in_transit = false;
+      meta_locked(id).in_transit = false;
     }
     transit_cv_.notify_all();
   }
@@ -1154,15 +1142,16 @@ std::optional<std::size_t> LiveSystem::directory_entry(
 }
 
 std::size_t LiveSystem::resolve_sharded(std::optional<std::size_t> from,
+                                        objsys::ObjectId id,
                                         const std::string& object,
                                         std::optional<std::size_t> stale) {
   const auto wall_start = std::chrono::steady_clock::now();
   obs::DirMetrics& metrics = obs::dir_metrics();
   dir_lookups_.fetch_add(1, std::memory_order_relaxed);
-  objsys::NamedLocationCache& cache = *caches_[cache_slot(from)];
+  objsys::LocationCache& cache = *caches_[cache_slot(from)];
   const std::size_t origin = from.value_or(kExternalSender);
   auto finish = [&](std::size_t node) {
-    cache.put(object, static_cast<std::uint64_t>(node), now_ms());
+    cache.put(id, static_cast<std::uint64_t>(node), now_ms());
     metrics.lookup_us->record(us_since(wall_start));
     return node;
   };
@@ -1175,7 +1164,7 @@ std::size_t LiveSystem::resolve_sharded(std::optional<std::size_t> from,
     // cap (= shard count) bounds the walk before the owner takes over.
     dir_stale_hits_.fetch_add(1, std::memory_order_relaxed);
     metrics.lookups_stale->inc();
-    cache.invalidate(object);
+    cache.invalidate(id);
     if (options_.dir_strategy == objsys::ConsistencyStrategy::LazyForward) {
       std::size_t at = *stale;
       for (std::size_t hop = 0; hop < dir_shards_; ++hop) {
@@ -1198,7 +1187,7 @@ std::size_t LiveSystem::resolve_sharded(std::optional<std::size_t> from,
         at = next;
       }
     }
-  } else if (auto cached = cache.get(object); cached.has_value()) {
+  } else if (auto cached = cache.get(id); cached.has_value()) {
     bool fresh = true;
     if (options_.dir_strategy == objsys::ConsistencyStrategy::LeaseTtl) {
       const auto ttl =
@@ -1212,7 +1201,7 @@ std::size_t LiveSystem::resolve_sharded(std::optional<std::size_t> from,
       metrics.lookup_us->record(us_since(wall_start));
       return node;
     }
-    cache.invalidate(object);
+    cache.invalidate(id);
   }
 
   // Cache miss (or a failed chase): consult the shard owner's slice.
@@ -1232,8 +1221,7 @@ std::size_t LiveSystem::resolve_sharded(std::optional<std::size_t> from,
   std::size_t node = owner;
   {
     std::lock_guard lock{mutex_};
-    auto it = directory_.find(object);
-    if (it != directory_.end()) node = it->second.node;
+    if (const Meta* meta = directory_.find(id)) node = meta->node;
   }
   return finish(node);
 }
@@ -1243,7 +1231,7 @@ void LiveSystem::dir_publish(const std::vector<Publication>& moved) {
   // its restart re-seeds the slice from there (or marks the object for
   // end_transit() to republish).
   std::vector<Outbound<DirUpdate>> updates;
-  for (const auto& [name, host, owner_written] : moved) {
+  for (const auto& [id, name, host, owner_written] : moved) {
     const std::size_t owner = shard_owner(shard_of(name));
     if (!owner_written && node_up(owner)) {
       updates.push_back({.from = kExternalSender,
@@ -1257,7 +1245,7 @@ void LiveSystem::dir_publish(const std::vector<Publication>& moved) {
   }
   for (const Publication& p : moved) {
     for (auto& cache : caches_) {
-      if (cache->invalidate(p.name)) {
+      if (cache->invalidate(p.id)) {
         dir_invalidations_.fetch_add(1, std::memory_order_relaxed);
         obs::dir_metrics().invalidations->inc();
       }
@@ -1265,20 +1253,22 @@ void LiveSystem::dir_publish(const std::vector<Publication>& moved) {
   }
 }
 
-void LiveSystem::end_transit(const std::string& name, std::size_t host) {
+void LiveSystem::end_transit(objsys::ObjectId id, std::size_t host) {
   for (;;) {
     bool reinstall = false;
+    std::string name;
     ObjectState state;
     {
       std::lock_guard lock{mutex_};
-      Meta& meta = directory_.at(name);
+      Meta& meta = meta_locked(id);
       if (!meta.host_restarted && !meta.owner_restarted) {
         meta.in_transit = false;
-        trace_locked(trace::EventKind::MigrationEnd, name, host);
+        trace_locked(trace::EventKind::MigrationEnd, id, host);
         return;
       }
       reinstall = std::exchange(meta.host_restarted, false);
       meta.owner_restarted = false;
+      name = meta.name;
       if (reinstall) state = meta.checkpoint;
     }
     // The host restarted after the object reached it, or the owner re-seeded
@@ -1288,35 +1278,37 @@ void LiveSystem::end_transit(const std::string& name, std::size_t host) {
       recoveries_.fetch_add(1, std::memory_order_relaxed);
       obs::runtime_metrics().recoveries->inc();
     }
-    if (sharded()) dir_publish({{name, host, false}});
+    if (sharded()) dir_publish({{id, name, host, false}});
   }
 }
 
 void LiveSystem::dir_reseed_node(std::size_t node) {
-  std::vector<std::string> slice;
+  std::vector<objsys::ObjectId> slice;
   {
     std::lock_guard lock{mutex_};
-    for (const auto& [name, meta] : directory_) {
-      if (shard_owner(shard_of(name)) == node) slice.push_back(name);
-    }
+    directory_.for_each([&](objsys::ObjectId id, const Meta& meta) {
+      if (shard_owner(shard_of(meta.name)) == node) slice.push_back(id);
+    });
   }
-  for (const std::string& name : slice) {
+  for (const objsys::ObjectId id : slice) {
     std::size_t host = 0;
+    std::string name;
     {
       std::lock_guard lock{mutex_};
-      Meta& meta = directory_.at(name);
+      Meta& meta = meta_locked(id);
       if (meta.in_transit) {
         meta.owner_restarted = true;
         continue;
       }
       meta.in_transit = true;
       host = meta.node;
+      name = meta.name;
     }
     // A target that stays down is re-seeded by its next restart.
     (void)request(kExternalSender, node, dir_update_msg(name, host));
     {
       std::lock_guard lock{mutex_};
-      directory_.at(name).in_transit = false;
+      meta_locked(id).in_transit = false;
     }
     transit_cv_.notify_all();
   }

@@ -45,6 +45,8 @@
 
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
+#include "migration/adaptive.hpp"
+#include "migration/attachment.hpp"
 #include "obs/families.hpp"
 #include "objsys/locality.hpp"
 #include "objsys/location_cache.hpp"
@@ -371,6 +373,7 @@ public:
 
 private:
   struct Meta {
+    std::string name;
     std::size_t node = 0;
     bool fixed = false;
     bool in_transit = false;
@@ -396,18 +399,13 @@ private:
     bool owner_restarted = false;
   };
 
-  struct AttachEdge {
-    std::string peer;
-    std::string alliance;
-  };
-
   /// Sender id for messages not originating at any node (external clients,
   /// directory operations). Matches only wildcard fault rules.
   static constexpr std::size_t kExternalSender =
       static_cast<std::size_t>(-2);
 
   /// One member of a cluster hop: an object and the node it moves to.
-  using Move = std::pair<std::string, std::size_t>;
+  using Move = std::pair<objsys::ObjectId, std::size_t>;
 
   /// One request of a request_batch(): its link and body, and once the
   /// batch returns its reply — nullopt when none came within the budget.
@@ -423,9 +421,15 @@ private:
     bool done = false;  ///< answered, or stopped by a rejected send
   };
 
-  /// Attachment closure of `object` (requires `mutex_`).
-  [[nodiscard]] std::vector<std::string> closure_locked(
-      const std::string& object, const std::string& alliance) const;
+  // These four require `mutex_`, which also guards the attachment graph's
+  // traversal scratch. An unknown or failed-create name has no live id.
+  [[nodiscard]] objsys::ObjectId id_of_locked(const std::string& name) const;
+  Meta& meta_locked(objsys::ObjectId id);
+  /// Assigned on first use; "" is no alliance.
+  objsys::AllianceId alliance_locked(const std::string& name);
+  /// The simulator's cluster rule (AttachmentGraph::cluster).
+  [[nodiscard]] std::vector<objsys::ObjectId> closure_locked(
+      objsys::ObjectId id, const std::string& alliance);
 
   /// Claims a batch for relocate() (requires `lock` on `mutex_`). Waits
   /// until no member of `moves` is in transit while holding none of them
@@ -502,22 +506,17 @@ private:
   }
   /// Feeds `object`'s locality EMA with one access from `from` (requires
   /// `mutex_`). No-op unless the policy is adaptive.
-  void record_locality_locked(const std::string& object, std::size_t from);
-  /// The adaptive placement decision for `object` (requires `mutex_`):
-  /// the node to relocate the block's closure to — the object's current
-  /// host when the EMA says stay (no data, dominant already hosts, band
-  /// or load veto). Updates the policy counters and ping-pong state.
+  void record_locality_locked(objsys::ObjectId id, std::size_t from);
+  /// Where the shared adaptive decision (migration/adaptive.hpp) sends
+  /// `id`'s block, or its host (requires `mutex_`). Counts the verdict.
   [[nodiscard]] std::size_t adaptive_target_locked(
-      const std::string& object, const std::string& alliance);
+      objsys::ObjectId id, const std::string& alliance);
 
   /// Records a protocol event on the logical clock (requires `mutex_`).
-  /// No-op without Options::trace. Pass kExternalSender as `node` for
-  /// events without a node operand and 0 as `block` for blockless ones.
-  void trace_locked(trace::EventKind kind, const std::string& object,
+  /// No-op without Options::trace. Pass an invalid `object`, kExternalSender
+  /// as `node` and 0 as `block` for events without that operand.
+  void trace_locked(trace::EventKind kind, objsys::ObjectId object,
                     std::size_t node, std::uint64_t block = 0);
-  /// Stable per-name trace id, assigned in first-use order (requires
-  /// `mutex_`) — identical across transport backends for one workload.
-  std::uint64_t object_trace_id_locked(const std::string& name);
 
   /// Replays the fault plan's crash schedule on wall-clock time.
   void run_fault_schedule();
@@ -548,13 +547,14 @@ private:
   /// owner -> central-map fallback. `stale` names a node an invoke just
   /// found empty, triggering invalidation and a hint chase from there.
   std::size_t resolve_sharded(std::optional<std::size_t> from,
-                              const std::string& object,
+                              objsys::ObjectId id, const std::string& object,
                               std::optional<std::size_t> stale);
   /// `name -> host` after an install at host (a migration, or a
   /// creation). The evict leaves the source's forwarding entry and the
   /// install the host's self-entry; `owner_written` says that one of them
   /// is known to have reached the shard owner.
   struct Publication {
+    objsys::ObjectId id;
     std::string name;
     std::size_t host = 0;
     bool owner_written = false;
@@ -564,10 +564,10 @@ private:
   /// are eagerly invalidated when configured. Callers keep the objects in
   /// transit until this returns.
   void dir_publish(const std::vector<Publication>& moved);
-  /// Ends the transit of `name`, now at `host`, after repairing what a
+  /// Ends the transit of `id`, now at `host`, after repairing what a
   /// restart during the transit skipped (Meta::host_restarted,
   /// Meta::owner_restarted).
-  void end_transit(const std::string& name, std::size_t host);
+  void end_transit(objsys::ObjectId id, std::size_t host);
   /// Re-seeds a restarted node's shard slice from the central map. Each
   /// entry is written while the object is held in transit, so no
   /// migration's owner update can be overtaken by a stale re-seed; objects
@@ -585,29 +585,27 @@ private:
 
   mutable std::mutex mutex_;
   std::condition_variable transit_cv_;
-  std::unordered_map<std::string, Meta> directory_;
-  std::unordered_map<std::string, std::vector<AttachEdge>> attachments_;
+  /// Name -> dense id, assigned at first create() (or store recovery) and
+  /// kept for good; the id is also the trace and locality key.
+  std::unordered_map<std::string, objsys::ObjectId> ids_;
+  util::DenseTable<objsys::ObjectId, Meta> directory_;
+  migration::AttachmentGraph attachments_;
+  std::unordered_map<std::string, objsys::AllianceId> alliances_;
   std::vector<char> node_down_;  ///< guarded by mutex_
   std::vector<std::uint64_t> node_restarts_;  ///< per node; guarded by mutex_
   std::uint64_t next_token_ = 1;
-  std::unordered_map<std::string, std::uint64_t> object_ids_;  ///< trace ids
-  std::uint64_t next_object_id_ = 0;  ///< guarded by mutex_
-  std::uint64_t trace_clock_ = 0;     ///< guarded by mutex_
+  std::uint64_t trace_clock_ = 0;  ///< guarded by mutex_
 
   /// Access-locality telemetry (docs/policies.md); null unless the policy
-  /// is adaptive. The tracker is dense-id keyed, so names get stable ids
-  /// in first-invocation order. All guarded by mutex_.
+  /// is adaptive. Guarded by mutex_, as is the decision's reversal state.
   std::unique_ptr<objsys::LocalityTracker> locality_;
-  std::unordered_map<std::string, std::uint32_t> locality_ids_;
-  /// Last adaptive relocation per object (from, to) — ping-pong detector.
-  std::unordered_map<std::string, std::pair<std::size_t, std::size_t>>
-      last_policy_move_;
+  migration::AdaptiveDecider adaptive_;
   /// Cached obs family ("adaptive" / "adaptive-load"); set in start().
   std::optional<obs::PolicyMetrics> policy_obs_;
 
   /// Per-origin lookup caches (node_count() + 1 entries; the last one
   /// serves external senders). Pointers because the caches hold mutexes.
-  std::vector<std::unique_ptr<objsys::NamedLocationCache>> caches_;
+  std::vector<std::unique_ptr<objsys::LocationCache>> caches_;
   std::size_t dir_shards_ = 0;  ///< resolved shard count (0 until start())
 
   std::unique_ptr<fault::FaultInjector> injector_;

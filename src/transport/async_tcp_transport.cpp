@@ -11,7 +11,9 @@ namespace omig::transport {
 
 AsyncTcpTransport::AsyncTcpTransport(Options options,
                                      fault::FaultInjector* injector)
-    : SocketTransport{injector}, options_{std::move(options)} {
+    : SocketTransport{injector},
+      options_{std::move(options)},
+      down_(options_.peers.size()) {
   if (options_.loop != nullptr) {
     loop_ = options_.loop;
   } else {
@@ -56,6 +58,12 @@ SendStatus AsyncTcpTransport::send_request(std::size_t from, std::size_t to,
   const fault::Decision verdict = decide(from, to);
   // "Sent", but lost in flight: the request dies here, its reply breaks.
   if (verdict.drop) return SendStatus::Ok;
+  // A crashed peer rejects at once, as its closed mailbox does in-process,
+  // instead of costing a dial that spends the whole connect budget.
+  if (down_[to].load(std::memory_order_acquire)) {
+    obs::transport_metrics().send_rejections->inc();
+    return SendStatus::Closed;
+  }
   auto box = std::make_shared<Enqueue>();
   box->to = to;
   Frame frame{0, take_body(request)};
@@ -104,11 +112,17 @@ SendStatus AsyncTcpTransport::send_shutdown(std::size_t to) {
 
 void AsyncTcpTransport::on_node_crash(std::size_t node) {
   if (node >= conns_.size()) return;
+  down_[node].store(true, std::memory_order_release);
   loop_->post([this, node] { reset_conn_on_loop(node, std::nullopt); });
+}
+
+void AsyncTcpTransport::on_node_restart(std::size_t node) {
+  if (node < down_.size()) down_[node].store(false, std::memory_order_release);
 }
 
 void AsyncTcpTransport::set_peer(std::size_t node, Peer peer) {
   if (node >= conns_.size()) return;
+  down_[node].store(false, std::memory_order_release);
   loop_->post([this, node, peer = std::move(peer)] {
     reset_conn_on_loop(node, peer);
   });

@@ -19,7 +19,10 @@
 //   reader coroutine  — one per connection (instead of one thread),
 //       feeds a FrameBuffer and fulfils pending replies by corr ID.
 //
-// Failure semantics: once a send returns Ok, every asynchronous failure
+// Failure semantics: between on_node_crash(n) and on_node_restart(n) or
+// set_peer(n), a send to n is rejected at once with SendStatus::Closed
+// (after decide() and the drop verdict, as on the other backends). Once a
+// send returns Ok, every asynchronous failure
 // — connect budget exhausted, link reset, injected drop — surfaces as a
 // broken reply future, the exact "lost in flight" signal the retry
 // layer already handles. Injected delays arm a loop timer that defers
@@ -66,6 +69,7 @@ public:
   SendStatus send_shutdown(std::size_t to) override;
 
   void on_node_crash(std::size_t node) override;
+  void on_node_restart(std::size_t node) override;
   void set_peer(std::size_t node, Peer peer) override;
   [[nodiscard]] std::uint64_t reconnects() const override {
     return reconnects_.load(std::memory_order_relaxed);
@@ -135,6 +139,8 @@ private:
   std::unique_ptr<net::EventLoop> owned_loop_;
   net::EventLoop* loop_ = nullptr;
   std::vector<std::unique_ptr<Conn>> conns_;
+  /// Per peer: crashed, and not restarted or re-pointed since.
+  std::vector<std::atomic<bool>> down_;
   std::atomic<std::uint64_t> next_corr_{1};
   std::atomic<std::uint64_t> reconnects_{0};
   std::atomic<bool> stopping_{false};

@@ -83,7 +83,13 @@ public:
     size_ = 0;
   }
 
-  /// Visits (Id, const T&) for every occupied slot in ascending id order.
+  /// Visits (Id, T&) for every occupied slot in ascending id order.
+  template <class F>
+  void for_each(F&& f) {
+    for (std::size_t i = 0; i < used_.size(); ++i) {
+      if (used_[i]) f(Id{static_cast<typename Id::value_type>(i)}, slots_[i]);
+    }
+  }
   template <class F>
   void for_each(F&& f) const {
     for (std::size_t i = 0; i < used_.size(); ++i) {

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,16 +13,16 @@ namespace omig::objsys {
 namespace {
 
 TEST(LocationCacheTest, PutGetInvalidate) {
-  NamedLocationCache cache;
-  EXPECT_EQ(cache.get("a"), std::nullopt);
-  cache.put("a", 3, 17);
-  const auto hit = cache.get("a");
+  LocationCache cache;
+  EXPECT_EQ(cache.get(ObjectId{1}), std::nullopt);
+  cache.put(ObjectId{1}, 3, 17);
+  const auto hit = cache.get(ObjectId{1});
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->node, 3u);
   EXPECT_EQ(hit->stamp, 17u);
-  EXPECT_TRUE(cache.invalidate("a"));
-  EXPECT_FALSE(cache.invalidate("a"));  // already gone
-  EXPECT_EQ(cache.get("a"), std::nullopt);
+  EXPECT_TRUE(cache.invalidate(ObjectId{1}));
+  EXPECT_FALSE(cache.invalidate(ObjectId{1}));  // already gone
+  EXPECT_EQ(cache.get(ObjectId{1}), std::nullopt);
 }
 
 TEST(LocationCacheTest, PutOverwritesAndSizeTracks) {
@@ -38,12 +37,12 @@ TEST(LocationCacheTest, PutOverwritesAndSizeTracks) {
 }
 
 TEST(LocationCacheTest, CountersAccount) {
-  NamedLocationCache cache;
-  (void)cache.get("missing");
-  cache.put("x", 1, 0);
-  (void)cache.get("x");
-  (void)cache.get("x");
-  (void)cache.invalidate("x");
+  LocationCache cache;
+  (void)cache.get(ObjectId{9});
+  cache.put(ObjectId{2}, 1, 0);
+  (void)cache.get(ObjectId{2});
+  (void)cache.get(ObjectId{2});
+  (void)cache.invalidate(ObjectId{2});
   EXPECT_EQ(cache.hits(), 2u);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.invalidations(), 1u);
@@ -53,11 +52,13 @@ TEST(LocationCacheTest, ConcurrentInvalidateAndLookup) {
   // Readers resolve while writers migrate (put) and invalidate the same
   // small key space concurrently. The assertion is the absence of a data
   // race (TSan) plus counter coherence afterwards.
-  NamedLocationCache cache;
+  LocationCache cache;
   constexpr int kKeys = 8;
   constexpr int kOpsPerThread = 20'000;
   std::atomic<std::uint64_t> observed_gets{0};
-  auto key_of = [](int i) { return "obj" + std::to_string(i % kKeys); };
+  auto key_of = [](int i) {
+    return ObjectId{static_cast<std::uint32_t>(i % kKeys)};
+  };
 
   std::vector<std::thread> threads;
   for (int reader = 0; reader < 2; ++reader) {
