@@ -48,6 +48,7 @@
 #include "bench_common.hpp"
 #include "runtime/demo_types.hpp"
 #include "runtime/live_node.hpp"
+#include "runtime/serde.hpp"
 #include "transport/async_tcp_transport.hpp"
 #include "transport/bridge.hpp"
 #include "transport/node_server.hpp"
@@ -93,7 +94,8 @@ bool install_counter(Transport& transport, const std::string& name,
   Install msg;
   msg.seq = seq++;
   msg.name = name;
-  msg.state = omig::runtime::make_state("counter", {{"count", "0"}});
+  msg.state = omig::runtime::encode(
+      omig::runtime::make_state("counter", {{"count", "0"}}));
   std::future<bool> done;
   if (transport.send(kSender, 0, msg, done) != SendStatus::Ok) {
     return false;

@@ -28,13 +28,11 @@ while [[ $# -gt 0 ]]; do
     --min-time) MIN_TIME="$2"; shift 2 ;;
     --store) MODE=store; shift ;;
     --directory) MODE=directory; shift ;;
-    --scenario) MODE=scenario; shift ;;
     --policy) MODE=policy; shift ;;
     --transport) MODE=transport; shift ;;
     *) echo "usage: $0 [--label NAME] [--output FILE] [--min-time SECS]" >&2
        echo "          [--store]      # bench the durable store into BENCH_store.json" >&2
        echo "          [--directory]  # bench directory lookups into BENCH_directory.json" >&2
-       echo "          [--scenario]   # bench the scenario pack into BENCH_scenario.json" >&2
        echo "          [--policy]     # bench adaptive placement into BENCH_policy.json" >&2
        echo "          [--transport]  # bench transport backends into BENCH_transport.json" >&2
        exit 2 ;;
@@ -42,87 +40,6 @@ while [[ $# -gt 0 ]]; do
 done
 
 BUILD_DIR=build-bench
-
-# --scenario: record scenario-pack live-runtime throughput (issued ops/sec
-# and per-op p50/p99 in microseconds, per scenario in the zoo) into
-# BENCH_scenario.json. Medians of 3 runs per scenario.
-if [[ "$MODE" == scenario ]]; then
-  [[ "$OUT" == BENCH_kernel.json ]] && OUT=BENCH_scenario.json
-  cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build "$BUILD_DIR" -j --target bench_scenario >/dev/null
-  SCEN_JSON=$(mktemp)
-  for rep in 1 2 3; do
-    "$BUILD_DIR/bench/bench_scenario" >>"$SCEN_JSON"
-  done
-  GIT_REV=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
-  LABEL="$LABEL" OUT="$OUT" SCEN_JSON="$SCEN_JSON" GIT_REV="$GIT_REV" \
-  python3 - <<'PY'
-import json, os, statistics
-
-# Three concatenated JSON documents (one per repetition): decode them in
-# sequence, then take the per-scenario median of each measure.
-reps, decoder, text, pos = [], json.JSONDecoder(), open(os.environ["SCEN_JSON"]).read(), 0
-while pos < len(text):
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    if pos >= len(text):
-        break
-    doc, pos = decoder.raw_decode(text, pos)
-    reps.append(doc)
-
-series = {}
-for doc in reps:
-    for row in doc["results"]:
-        entry = series.setdefault(row["scenario"], {
-            "issued_ops": [], "wall_ms": [], "ops_per_sec": [],
-            "op_p50_us": [], "op_p99_us": [],
-            "bursts": row["bursts"], "moves": row["moves"],
-            "visits": row["visits"],
-        })
-        for key in ("issued_ops", "wall_ms", "ops_per_sec",
-                    "op_p50_us", "op_p99_us"):
-            entry[key].append(row[key])
-
-results = [
-    {
-        "scenario": scenario,
-        "issued_ops": statistics.median(entry["issued_ops"]),
-        "bursts": entry["bursts"],
-        "moves": entry["moves"],
-        "visits": entry["visits"],
-        "wall_ms": statistics.median(entry["wall_ms"]),
-        "ops_per_sec": statistics.median(entry["ops_per_sec"]),
-        "op_p50_us": statistics.median(entry["op_p50_us"]),
-        "op_p99_us": statistics.median(entry["op_p99_us"]),
-    }
-    for scenario, entry in sorted(series.items())
-]
-
-out = os.environ["OUT"]
-doc = {}
-if os.path.exists(out):
-    with open(out) as f:
-        doc = json.load(f)
-doc.setdefault("bench", "scenario-pack")
-doc.setdefault("recipe", {
-    "build": "Release",
-    "scenario": "bench_scenario (in-process LiveSystem, 4 nodes, 8 sources "
-                "x 200 bursts, 4 worker threads; medians of 3 runs)",
-    "headline": "issued ops/sec per scenario on the live runtime",
-})
-doc.setdefault("runs", {})[os.environ["LABEL"]] = {
-    "git": os.environ["GIT_REV"],
-    "nproc": os.cpu_count(),
-    "scenarios": results,
-}
-with open(out, "w") as f:
-    json.dump(doc, f, indent=2, sort_keys=False)
-    f.write("\n")
-print(f"wrote {out} [{os.environ['LABEL']}]")
-PY
-  rm -f "$SCEN_JSON"
-  exit 0
-fi
 
 # --policy: record the adaptive-placement cost picture into
 # BENCH_policy.json — the locality tracker's isolated record()/estimate()

@@ -161,7 +161,12 @@ void LiveNode::handle(Install& msg, Reply<bool>& reply) {
       return;
     }
   }
-  auto fit = factories_->find(msg.state.type);
+  // Rebuilt once, here, from the bytes the source linearised. A blob that
+  // does not decode or names an unknown type is refused before the WAL
+  // sees it.
+  std::optional<ObjectState> state = decode(msg.state);
+  const auto fit = state.has_value() ? factories_->find(state->type)
+                                     : factories_->end();
   if (fit == factories_->end()) {
     reply.set_value(false);
     return;
@@ -170,15 +175,13 @@ void LiveNode::handle(Install& msg, Reply<bool>& reply) {
     // WAL first, ack second: once the sender sees `true`, this install
     // survives SIGKILL. A dead store (injected power loss) refuses the
     // install outright — the sender retries against the relaunch.
-    const auto outcome =
-        store_->checkpoint(msg.name, id_, 0, encode(msg.state));
-    if (!outcome.applied) {
+    if (!store_->checkpoint(msg.name, id_, 0, msg.state).applied) {
       reply.set_value(false);
       return;
     }
   }
   // A reinstall over a copy still hosted here replaces it in place.
-  auto object = fit->second(msg.name, std::move(msg.state));
+  auto object = fit->second(msg.name, std::move(*state));
   const bool fresh =
       objects_.insert_or_assign(msg.name, std::move(object)).second;
   if (msg.seq != 0) installed_seq_[msg.name] = msg.seq;
@@ -203,14 +206,9 @@ void LiveNode::handle(DirLookup& msg, Reply<DirReply>& reply) {
 }
 
 void LiveNode::handle(DirUpdate& msg, Reply<DirAck>& reply) {
-  // Idempotent: the update carries the absolute new value (or drops the
-  // entry), so a retransmission converges to the same state.
-  if (msg.invalidate) {
-    dir_entries_.erase(msg.name);
-    dir_entry_count_.store(dir_entries_.size(), std::memory_order_relaxed);
-  } else {
-    set_dir_entry(msg.name, msg.node);
-  }
+  // Idempotent: the update carries the absolute new value, so a
+  // retransmission converges to the same state.
+  set_dir_entry(msg.name, msg.node);
   reply.set_value(DirAck{true});
 }
 
@@ -219,13 +217,13 @@ void LiveNode::set_dir_entry(const std::string& name, std::uint64_t node) {
   dir_entry_count_.store(dir_entries_.size(), std::memory_order_relaxed);
 }
 
-void LiveNode::handle(Evict& msg, Reply<ObjectState>& reply) {
+void LiveNode::handle(Evict& msg, Reply<util::Bytes>& reply) {
   obs::node_metrics().evicts->inc();
   if (msg.seq != 0) {
     auto cached = evicted_states_.find(msg.seq);
     if (cached != evicted_states_.end()) {
-      // Duplicate evict: the object is already gone — hand out the state
-      // captured by the first delivery.
+      // Duplicate evict: the object is already gone — hand out the bytes
+      // of the first delivery.
       deduped_.fetch_add(1, std::memory_order_relaxed);
       obs::node_metrics().dedup_hits->inc();
       reply.set_value(cached->second);
@@ -239,10 +237,12 @@ void LiveNode::handle(Evict& msg, Reply<ObjectState>& reply) {
   if (msg.forward_to.has_value()) set_dir_entry(msg.name, *msg.forward_to);
   auto it = objects_.find(msg.name);
   if (it == objects_.end()) {
-    reply.set_value(ObjectState{});  // empty type signals failure
+    reply.set_value(util::Bytes{});  // an empty blob signals failure
     return;
   }
-  ObjectState state = it->second->linearize();
+  // Linearised once, here: these bytes are the reply, the duplicate-evict
+  // answer and, at the coordinator, the recovery checkpoint.
+  util::Bytes state = encode(it->second->linearize());
   objects_.erase(it);
   hosted_.fetch_sub(1, std::memory_order_relaxed);
   obs::node_metrics().hosted_objects->sub(1);

@@ -41,8 +41,8 @@ public:
   [[nodiscard]] Mailbox<Message>& mailbox() { return mailbox_; }
 
   /// Attaches a durable store (docs/durability.md): every install appends
-  /// a fsynced checkpoint record before it is acknowledged, every evict an
-  /// evict record — so an acked install survives SIGKILL. Non-owning; must
+  /// its blob as a fsynced checkpoint record before it is acknowledged,
+  /// every evict an evict record — so an acked install survives SIGKILL. Non-owning; must
   /// outlive the node. Call before start().
   void set_store(store::DurableStore* store) { store_ = store; }
 
@@ -82,7 +82,7 @@ private:
   void run();
   void handle(Invoke& msg, Reply<InvokeResult>& reply);
   void handle(Install& msg, Reply<bool>& reply);
-  void handle(Evict& msg, Reply<ObjectState>& reply);
+  void handle(Evict& msg, Reply<util::Bytes>& reply);
   void handle(DirLookup& msg, Reply<DirReply>& reply);
   void handle(DirUpdate& msg, Reply<DirAck>& reply);
   /// Records `name -> node` in this node's directory table.
@@ -107,7 +107,7 @@ private:
   std::unordered_map<std::string, std::uint64_t> installed_seq_;
   std::unordered_map<std::uint64_t, InvokeResult> invoke_replies_;
   std::deque<std::uint64_t> invoke_order_;
-  std::unordered_map<std::uint64_t, ObjectState> evicted_states_;
+  std::unordered_map<std::uint64_t, util::Bytes> evicted_states_;
   std::deque<std::uint64_t> evict_order_;
   /// Sharded-directory state this node serves: its shard slice, the
   /// forwarding entries its evicts leave behind and the self-entries its

@@ -18,6 +18,17 @@
 namespace omig::runtime {
 
 namespace {
+/// Per-access EMA retention factor of the locality tracker
+/// (docs/policies.md).
+constexpr double kEmaDecay = 0.9;
+/// AdaptiveLoad: veto migrations into a node whose hosted-object count
+/// would exceed this multiple of the per-node mean.
+constexpr double kLoadFactor = 2.0;
+/// Cache-entry lifetime under ConsistencyStrategy::LeaseTtl.
+constexpr std::uint64_t kDirLeaseTtlMs = 50;
+/// Auto-compact the durable store after this many WAL appends.
+constexpr std::uint64_t kStoreCompactEvery = 256;
+
 /// Wall-clock microseconds since `start`, for the latency histograms.
 std::uint64_t us_since(std::chrono::steady_clock::time_point start) {
   const auto elapsed = std::chrono::steady_clock::now() - start;
@@ -100,7 +111,6 @@ void LiveSystem::start() {
   }
   node_down_.assign(count, 0);
   node_restarts_.assign(count, 0);
-  dir_shards_ = options_.dir_shards != 0 ? options_.dir_shards : count;
   if (sharded()) {
     // One lookup cache per origin; the extra slot serves external callers.
     caches_.clear();
@@ -114,7 +124,7 @@ void LiveSystem::start() {
   }
   if (adaptive_policy()) {
     locality_ =
-        std::make_unique<objsys::LocalityTracker>(count, options_.ema_decay);
+        std::make_unique<objsys::LocalityTracker>(count, kEmaDecay);
     policy_obs_ = obs::policy_metrics(to_string(options_.policy));
   }
 
@@ -152,8 +162,6 @@ void LiveSystem::start() {
     if (async) {
       transport::AsyncTcpTransport::Options topts;
       topts.peers = std::move(peers);
-      topts.max_connect_attempts = options_.tcp_connect_attempts;
-      topts.connect_backoff = options_.tcp_connect_backoff;
       topts.loop = net_loop_.get();
       auto tcp = std::make_unique<transport::AsyncTcpTransport>(
           std::move(topts), injector_.get());
@@ -162,8 +170,6 @@ void LiveSystem::start() {
     } else {
       transport::TcpTransport::Options topts;
       topts.peers = std::move(peers);
-      topts.max_connect_attempts = options_.tcp_connect_attempts;
-      topts.connect_backoff = options_.tcp_connect_backoff;
       auto tcp = std::make_unique<transport::TcpTransport>(std::move(topts),
                                                            injector_.get());
       tcp_ = tcp.get();
@@ -184,7 +190,7 @@ void LiveSystem::start() {
     store_ = std::make_unique<store::DurableStore>();
     store::DurableStore::OpenOptions sopts;
     sopts.dir = options_.data_dir;
-    sopts.compact_every = options_.store_compact_every;
+    sopts.compact_every = kStoreCompactEvery;
     sopts.injector = injector_.get();
     sopts.node = kExternalSender;
     OMIG_REQUIRE(store_->open(std::move(sopts)),
@@ -201,6 +207,7 @@ void LiveSystem::start() {
 void LiveSystem::recover_from_store() {
   for (const auto& [name, obj] : store_->view()) {
     if (obj.state.empty()) continue;  // location knowledge only, no state
+    // Input read from disk: check it before it becomes a checkpoint.
     const auto state = decode(obj.state);
     if (!state.has_value() || !factories_.contains(state->type)) continue;
     const auto node = static_cast<std::size_t>(obj.node);
@@ -209,13 +216,14 @@ void LiveSystem::recover_from_store() {
     {
       std::lock_guard lock{mutex_};
       id = intern(ids_, name);
-      directory_[id] = Meta{.name = name, .node = node, .checkpoint = *state,
-                            .moves = obj.cursor, .durable = true};
+      directory_[id] = Meta{.name = name, .node = node,
+                            .checkpoint = obj.state, .moves = obj.cursor,
+                            .durable = true};
     }
-    if (install_with_retry(node, name, *state, kExternalSender)) {
+    if (install_with_retry(node, name, obj.state, kExternalSender)) {
       replayed_objects_.fetch_add(1, std::memory_order_relaxed);
       if (sharded()) {
-        dir_publish({{id, name, node, shard_owner(shard_of(name)) == node}});
+        dir_publish({{id, name, node, shard_owner(name) == node}});
       }
     }
   }
@@ -360,7 +368,7 @@ bool LiveSystem::faults_active() const {
 }
 
 Install LiveSystem::install_msg(const std::string& name,
-                                const ObjectState& state) {
+                                const util::Bytes& state) {
   // The new host records its own self-entry as it installs, so forwarding
   // chases that reach it terminate without a separate DirUpdate.
   return Install{.seq = next_seq_.fetch_add(1, std::memory_order_relaxed),
@@ -370,7 +378,7 @@ Install LiveSystem::install_msg(const std::string& name,
 }
 
 bool LiveSystem::install_with_retry(std::size_t node, const std::string& name,
-                                    const ObjectState& state,
+                                    const util::Bytes& state,
                                     std::size_t from) {
   return request(from, node, install_msg(name, state)).value_or(false);
 }
@@ -380,6 +388,9 @@ bool LiveSystem::create(const std::string& name, ObjectState state,
   OMIG_REQUIRE(started_, "start() the system first");
   OMIG_REQUIRE(node < node_count(), "node index out of range");
   if (!factories_.contains(state.type)) return false;
+  // Linearised once: the install, the checkpoint and the store append all
+  // carry these bytes.
+  const util::Bytes blob = encode(state);
   objsys::ObjectId id;
   {
     std::lock_guard lock{mutex_};
@@ -388,10 +399,10 @@ bool LiveSystem::create(const std::string& name, ObjectState state,
     if (!inserted) return false;
     meta.name = name;
     meta.node = node;
-    meta.checkpoint = state;  // creation-time recovery checkpoint
+    meta.checkpoint = blob;  // creation-time recovery checkpoint
     trace_locked(trace::EventKind::ReplicaCreated, id, node);
   }
-  const bool ok = install_with_retry(node, name, state, kExternalSender);
+  const bool ok = install_with_retry(node, name, blob, kExternalSender);
   if (!ok) {
     // Free the slot and any attachment made while the install ran.
     std::lock_guard lock{mutex_};
@@ -404,12 +415,12 @@ bool LiveSystem::create(const std::string& name, ObjectState state,
   // The install left the host's self-entry; seed the shard owner's slice
   // too when another node serves it.
   if (sharded()) {
-    dir_publish({{id, name, node, shard_owner(shard_of(name)) == node}});
+    dir_publish({{id, name, node, shard_owner(name) == node}});
   }
   if (store_ != nullptr) {
     // Persist the creation checkpoint; only a fsynced append upgrades the
     // entry to durable (an injected fsync failure leaves it in-memory).
-    const auto outcome = store_->checkpoint(name, node, 0, encode(state));
+    const auto outcome = store_->checkpoint(name, node, 0, blob);
     if (outcome.durable) {
       std::lock_guard lock{mutex_};
       if (Meta* meta = directory_.find(id)) meta->durable = true;
@@ -629,7 +640,7 @@ void LiveSystem::relocate(const std::vector<Move>& moves) {
     /// one skipped this object in its reconciliation, as it was in transit.
     std::uint64_t target_restarts = 0;
     std::uint64_t cursor = 0;
-    ObjectState state{};
+    util::Bytes state{};  ///< the source's evict reply, forwarded as is
   };
   std::vector<Hop> hops;
   std::vector<const Move*> resident;
@@ -669,10 +680,10 @@ void LiveSystem::relocate(const std::vector<Move>& moves) {
     std::lock_guard lock{mutex_};
     for (std::size_t i = 0; i < hops.size(); ++i) {
       Hop& hop = hops[i];
-      std::optional<ObjectState>& state = evicts[i].result;
+      std::optional<util::Bytes>& state = evicts[i].result;
       // Only an answered evict is known to have left src's forwarding entry.
       hop.evict_answered = state.has_value();
-      if (!state.has_value() || state->type.empty()) {
+      if (!state.has_value() || state->empty()) {
         // The source is unreachable or lost the object with a crash:
         // recover the last checkpoint. Degraded mode — updates since the
         // checkpoint are gone, but the object itself survives
@@ -681,18 +692,11 @@ void LiveSystem::relocate(const std::vector<Move>& moves) {
         recoveries_.fetch_add(1, std::memory_order_relaxed);
         obs::runtime_metrics().recoveries->inc();
       }
-      OMIG_ASSERT(!state->type.empty());
+      OMIG_ASSERT(!state->empty());
       hop.state = std::move(*state);
     }
   }
 
-  for (Hop& hop : hops) {
-    // Linearise for the wire (Section 3.1) — the destination rebuilds the
-    // object from bytes, never from shared memory.
-    auto decoded = decode(encode(hop.state));
-    OMIG_ASSERT(decoded.has_value());
-    hop.state = std::move(*decoded);
-  }
   if (!hops.empty() && options_.remote_latency.count() > 0) {
     std::this_thread::sleep_for(options_.remote_latency);  // the transfer
   }
@@ -761,7 +765,7 @@ void LiveSystem::relocate(const std::vector<Move>& moves) {
       // The owner already holds `name -> target` if it is the target and
       // acked the install, or it is the source, answered the evict, and
       // the object left it.
-      const std::size_t owner = shard_owner(shard_of(hop.name));
+      const std::size_t owner = shard_owner(hop.name);
       const bool owner_written =
           (owner == hop.target && hop.installed) ||
           (owner == hop.src && hop.target != hop.src && hop.evict_answered);
@@ -786,8 +790,8 @@ void LiveSystem::relocate(const std::vector<Move>& moves) {
       // the new home — both fsynced before relocate() acks the migration,
       // so no acked migration is ever lost (docs/durability.md).
       (void)store_->migration(hop.name, hop.src, hop.target);
-      const auto outcome = store_->checkpoint(hop.name, hop.target,
-                                              hop.cursor, encode(hop.state));
+      const auto outcome =
+          store_->checkpoint(hop.name, hop.target, hop.cursor, hop.state);
       std::lock_guard lock{mutex_};
       meta_locked(hop.id).durable = outcome.durable;
     }
@@ -912,7 +916,7 @@ std::size_t LiveSystem::adaptive_target_locked(objsys::ObjectId id,
       migration::AdaptiveKnobs{
           .min_weight = options_.adaptive_min_weight,
           .hysteresis_band = options_.hysteresis_band,
-          .load_factor = options_.load_factor,
+          .load_factor = kLoadFactor,
           .load_aware = options_.policy == MovePolicy::AdaptiveLoad},
       [&](objsys::NodeId dest) {
         std::size_t at_dest = 0;
@@ -1104,7 +1108,7 @@ void LiveSystem::restart_node(std::size_t node) {
   obs::runtime_metrics().restarts->inc();
 }
 
-std::size_t LiveSystem::shard_of(const std::string& name) const {
+std::size_t LiveSystem::shard_owner(const std::string& name) const {
   // FNV-1a: deterministic across processes, so a remote coordinator and a
   // test model agree on every name's shard.
   std::uint64_t hash = 14695981039346656037ull;
@@ -1112,7 +1116,7 @@ std::size_t LiveSystem::shard_of(const std::string& name) const {
     hash ^= c;
     hash *= 1099511628211ull;
   }
-  return static_cast<std::size_t>(hash % dir_shards_);
+  return static_cast<std::size_t>(hash % node_count());
 }
 
 DirUpdate LiveSystem::dir_update_msg(const std::string& name,
@@ -1161,13 +1165,14 @@ std::size_t LiveSystem::resolve_sharded(std::optional<std::size_t> from,
     // the cache, then chase the forwarding hints migrations left behind.
     // Hints record each node's last departure destination, so departure
     // times rise strictly along the chain — it cannot cycle — and the hop
-    // cap (= shard count) bounds the walk before the owner takes over.
+    // cap (= node count, one shard each) bounds the walk before the owner
+    // takes over.
     dir_stale_hits_.fetch_add(1, std::memory_order_relaxed);
     metrics.lookups_stale->inc();
     cache.invalidate(id);
     if (options_.dir_strategy == objsys::ConsistencyStrategy::LazyForward) {
       std::size_t at = *stale;
-      for (std::size_t hop = 0; hop < dir_shards_; ++hop) {
+      for (std::size_t hop = 0; hop < node_count(); ++hop) {
         if (!node_up(at)) break;
         auto hint = dir_lookup(origin, at, object);
         if (!hint.has_value()) break;  // unreachable mid-chase: ask owner
@@ -1190,9 +1195,7 @@ std::size_t LiveSystem::resolve_sharded(std::optional<std::size_t> from,
   } else if (auto cached = cache.get(id); cached.has_value()) {
     bool fresh = true;
     if (options_.dir_strategy == objsys::ConsistencyStrategy::LeaseTtl) {
-      const auto ttl =
-          static_cast<std::uint64_t>(options_.dir_lease_ttl.count());
-      fresh = now_ms() - cached->stamp <= ttl;
+      fresh = now_ms() - cached->stamp <= kDirLeaseTtlMs;
     }
     const auto node = static_cast<std::size_t>(cached->node);
     if (fresh && node < node_count() && node_up(node)) {
@@ -1205,7 +1208,7 @@ std::size_t LiveSystem::resolve_sharded(std::optional<std::size_t> from,
   }
 
   // Cache miss (or a failed chase): consult the shard owner's slice.
-  const std::size_t owner = shard_owner(shard_of(object));
+  const std::size_t owner = shard_owner(object);
   if (!stale.has_value()) metrics.lookups_miss->inc();
   if (node_up(owner)) {
     auto reply = dir_lookup(origin, owner, object);
@@ -1232,7 +1235,7 @@ void LiveSystem::dir_publish(const std::vector<Publication>& moved) {
   // end_transit() to republish).
   std::vector<Outbound<DirUpdate>> updates;
   for (const auto& [id, name, host, owner_written] : moved) {
-    const std::size_t owner = shard_owner(shard_of(name));
+    const std::size_t owner = shard_owner(name);
     if (!owner_written && node_up(owner)) {
       updates.push_back({.from = kExternalSender,
                          .to = owner,
@@ -1257,7 +1260,7 @@ void LiveSystem::end_transit(objsys::ObjectId id, std::size_t host) {
   for (;;) {
     bool reinstall = false;
     std::string name;
-    ObjectState state;
+    util::Bytes state;
     {
       std::lock_guard lock{mutex_};
       Meta& meta = meta_locked(id);
@@ -1287,7 +1290,7 @@ void LiveSystem::dir_reseed_node(std::size_t node) {
   {
     std::lock_guard lock{mutex_};
     directory_.for_each([&](objsys::ObjectId id, const Meta& meta) {
-      if (shard_owner(shard_of(meta.name)) == node) slice.push_back(id);
+      if (shard_owner(meta.name) == node) slice.push_back(id);
     });
   }
   for (const objsys::ObjectId id : slice) {

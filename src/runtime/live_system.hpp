@@ -115,31 +115,23 @@ public:
     MovePolicy policy = MovePolicy::Placement;
 
     // --- adaptive-policy knobs (docs/policies.md) -------------------------
-    /// Per-access EMA retention factor of the locality tracker.
-    double ema_decay = 0.9;
     /// Migrate only when the dominant node's EMA share leads the host's
     /// share by at least this margin (design decision 9, ARCHITECTURE.md).
     double hysteresis_band = 0.2;
     /// Minimum effective EMA sample size before migrating at all.
     double adaptive_min_weight = 4.0;
-    /// AdaptiveLoad: veto migrations into a node whose hosted-object count
-    /// would exceed this multiple of the per-node mean.
-    double load_factor = 2.0;
 
     // --- location directory (docs/directory.md) ---------------------------
     /// Central: every lookup reads the coordinator's directory map (the
     /// pre-sharding behaviour). Sharded: object names hash to shard slices
     /// served by the nodes themselves, fronted by per-origin lookup caches
     /// and forwarding hints — lookups become messages, so the protocol's
-    /// consistency story is observable end to end.
+    /// consistency story is observable end to end. Each node serves one
+    /// shard.
     objsys::DirectoryKind directory = objsys::DirectoryKind::Central;
-    /// Shard count for the sharded directory; 0 = one shard per node.
-    std::size_t dir_shards = 0;
     /// How caches learn about migrations (docs/directory.md).
     objsys::ConsistencyStrategy dir_strategy =
         objsys::ConsistencyStrategy::LazyForward;
-    /// Cache-entry lifetime under ConsistencyStrategy::LeaseTtl.
-    std::chrono::milliseconds dir_lease_ttl{50};
 
     // --- transport --------------------------------------------------------
     /// Backend for inter-node traffic (docs/transport.md).
@@ -149,10 +141,6 @@ public:
     /// local node threads (`nodes` is ignored) and coordinates the cluster
     /// over TCP.
     std::vector<transport::Peer> remote_nodes;
-    /// TCP backend: connect attempts per send and their base backoff
-    /// (doubled per attempt, capped) — the reconnect budget after a reset.
-    int tcp_connect_attempts = 4;
-    std::chrono::milliseconds tcp_connect_backoff{1};
     /// Optional protocol-event trace, recorded at the directory layer on a
     /// logical clock so the same workload yields the same trace under
     /// every transport backend. Non-owning; must outlive the system.
@@ -183,9 +171,6 @@ public:
     /// object is reinstalled on its recorded node; no acked migration is
     /// lost across a coordinator restart.
     std::string data_dir;
-    /// Auto-compact the store after this many WAL appends (0 = only the
-    /// final compaction at stop()).
-    std::uint64_t store_compact_every = 256;
   };
 
   /// Token returned by move()/visit(): carries the placement grant, the
@@ -362,7 +347,7 @@ public:
   /// Node serving `name`'s directory shard (Sharded mode, after start()).
   [[nodiscard]] std::size_t directory_shard_owner(
       const std::string& name) const {
-    return shard_owner(shard_of(name));
+    return shard_owner(name);
   }
   /// Where `node`'s directory table points `name` (its shard-slice record,
   /// forwarding entry or self-entry), read with one DirLookup; nullopt when
@@ -381,9 +366,10 @@ private:
     /// Lease deadline for the lock (meaningful while locked_by != 0 and
     /// Options::lock_lease is non-zero).
     std::chrono::steady_clock::time_point lease_expiry{};
-    /// Last linearised state the directory has seen (creation or most
-    /// recent migration) — the crash-recovery checkpoint.
-    ObjectState checkpoint;
+    /// Serde blob of the last linearised state the directory has seen (the
+    /// creation, or the source's evict reply of the most recent
+    /// migration) — the crash-recovery checkpoint.
+    util::Bytes checkpoint;
     /// Completed relocations of this object (location-history cursor;
     /// persisted in the store's checkpoint records).
     std::uint64_t moves = 0;
@@ -483,12 +469,14 @@ private:
   std::optional<typename Body::Result> request(std::size_t from,
                                                std::size_t to, Body body);
 
-  /// An Install of `state` as `name` under a fresh sequence number.
-  Install install_msg(const std::string& name, const ObjectState& state);
-  /// Installs `state` as `name` on `node` with bounded retries under one
-  /// sequence number. Returns false if the node stayed unreachable.
+  /// An Install of serde blob `state` as `name` under a fresh sequence
+  /// number.
+  Install install_msg(const std::string& name, const util::Bytes& state);
+  /// Installs serde blob `state` as `name` on `node` with bounded retries
+  /// under one sequence number. Returns false if the node stayed
+  /// unreachable or refused the install.
   bool install_with_retry(std::size_t node, const std::string& name,
-                          const ObjectState& state, std::size_t from);
+                          const util::Bytes& state, std::size_t from);
 
   /// True once any fault machinery is active (injector, crash calls);
   /// gates the bounded-retry deviations from pre-fault behaviour.
@@ -525,12 +513,9 @@ private:
   [[nodiscard]] bool sharded() const {
     return options_.directory == objsys::DirectoryKind::Sharded;
   }
-  /// Shard an object name hashes to (FNV-1a: stable across processes).
-  [[nodiscard]] std::size_t shard_of(const std::string& name) const;
-  /// Node serving a shard's slice of the directory.
-  [[nodiscard]] std::size_t shard_owner(std::size_t shard) const {
-    return shard % node_count();
-  }
+  /// Node serving the shard an object name hashes to (FNV-1a: stable
+  /// across processes); each node serves one shard.
+  [[nodiscard]] std::size_t shard_owner(const std::string& name) const;
   /// Cache index for an origin (kExternalSender maps to the extra slot).
   [[nodiscard]] std::size_t cache_slot(
       std::optional<std::size_t> from) const {
@@ -606,7 +591,6 @@ private:
   /// Per-origin lookup caches (node_count() + 1 entries; the last one
   /// serves external senders). Pointers because the caches hold mutexes.
   std::vector<std::unique_ptr<objsys::LocationCache>> caches_;
-  std::size_t dir_shards_ = 0;  ///< resolved shard count (0 until start())
 
   std::unique_ptr<fault::FaultInjector> injector_;
   /// Coordinator-level durable store (Options::data_dir); null = in-memory.

@@ -3,8 +3,10 @@
 // The live runtime (src/runtime/) is the beyond-paper counterpart of the
 // simulator: the same primitives (invoke, migrate, move/end with placement,
 // attachments) running on real threads with real mailboxes. Objects are
-// linearised into an ObjectState for transfer, exactly as Section 3.1
-// describes proxies linearising calls and objects.
+// linearised for transfer, exactly as Section 3.1 describes proxies
+// linearising calls and objects: once at the source, into the serde blob
+// of their ObjectState (runtime/serde), which crosses untouched until the
+// destination rebuilds it once.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +18,8 @@
 #include <unordered_map>
 #include <utility>
 #include <variant>
+
+#include "util/byte_codec.hpp"
 
 namespace omig::runtime {
 
@@ -122,8 +126,9 @@ struct Invoke {
 };
 
 /// Installs a (migrated or new) object on the receiving node; the reply
-/// says whether it was installed. Idempotent per seq: a duplicate install
-/// of the same (name, seq) is acknowledged without rebuilding the object.
+/// says whether it was installed — false for a blob that does not decode
+/// or names an unknown type. Idempotent per seq: a duplicate install of
+/// the same (name, seq) is acknowledged without rebuilding the object.
 /// With `self_entry` (sharded directory only) a successful install also
 /// records `name -> this node` in the node's directory table, so the new
 /// host needs no separate DirUpdate.
@@ -131,7 +136,7 @@ struct Install {
   using Result = bool;
   std::uint64_t seq = 0;
   std::string name;
-  ObjectState state;
+  util::Bytes state;  ///< serde blob of the object's ObjectState
   bool self_entry = false;
 
   static auto fields(auto& self) {
@@ -141,12 +146,12 @@ struct Install {
 };
 
 /// Evicts an object: the node linearises it, removes it, and replies with
-/// the state (empty type on failure). Idempotent per seq: a duplicate
-/// evict replies with the state captured by the first delivery. With
-/// `forward_to` (sharded directory only) the node also records the
+/// the serde blob of its state (an empty blob on failure). Idempotent per
+/// seq: a duplicate evict replies with the bytes of the first delivery.
+/// With `forward_to` (sharded directory only) the node also records the
 /// forwarding entry `name -> *forward_to` in its directory table.
 struct Evict {
-  using Result = ObjectState;
+  using Result = util::Bytes;
   std::uint64_t seq = 0;
   std::string name;
   std::optional<std::uint64_t> forward_to;
@@ -170,19 +175,17 @@ struct DirLookup {
   friend bool operator==(const DirLookup&, const DirLookup&) = default;
 };
 
-/// Installs (or, with `invalidate`, drops) this node's directory entry for
-/// `name`: shard-slice updates after a migration and restart re-seeding
-/// use the same message. Idempotent: the update carries the absolute new
-/// value.
+/// Installs this node's directory entry for `name`: shard-slice updates
+/// after a migration and restart re-seeding use the same message.
+/// Idempotent: the update carries the absolute new value.
 struct DirUpdate {
   using Result = DirAck;
   std::uint64_t seq = 0;
   std::string name;
   std::uint64_t node = 0;
-  bool invalidate = false;
 
   static auto fields(auto& self) {
-    return std::tie(self.seq, self.name, self.node, self.invalidate);
+    return std::tie(self.seq, self.name, self.node);
   }
   friend bool operator==(const DirUpdate&, const DirUpdate&) = default;
 };

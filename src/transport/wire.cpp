@@ -1,6 +1,5 @@
 #include "transport/wire.hpp"
 
-#include "runtime/serde.hpp"
 #include "util/byte_codec.hpp"
 
 namespace omig::transport {
@@ -23,10 +22,7 @@ void put(Bytes& out, const std::optional<std::uint64_t>& v) {
   if (v.has_value()) util::put_u64(out, *v);
 }
 
-void put(Bytes& out, const runtime::ObjectState& state) {
-  // Embedded as a serde blob: the object codec lives in runtime/serde only.
-  util::put_bytes(out, runtime::encode(state));
-}
+void put(Bytes& out, const Bytes& blob) { util::put_bytes(out, blob); }
 
 template <class T>
 void put(Bytes& out, const T& body) {
@@ -43,11 +39,9 @@ void get(ByteReader& in, std::optional<std::uint64_t>& v) {
   if (in.flag()) v = in.u64();
 }
 
-void get(ByteReader& in, runtime::ObjectState& state) {
-  auto decoded = runtime::decode(in.chunk());
-  if (!in.ok()) return;
-  if (!decoded.has_value()) return in.fail();
-  state = std::move(*decoded);
+void get(ByteReader& in, Bytes& blob) {
+  const std::span<const std::uint8_t> bytes = in.chunk();
+  blob.assign(bytes.begin(), bytes.end());
 }
 
 template <class T>

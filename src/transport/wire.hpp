@@ -15,13 +15,15 @@
 //     ...  the body's fields, in the order its `fields` lists them
 //
 // Fields use the shared little-endian codec (util/byte_codec): u64s as 8
-// bytes, strings with a u32 length prefix, a bool as one flag byte 0 or 1,
-// an optional u64 as a flag byte followed by the value only when the flag
-// is 1, and an embedded ObjectState as a length-prefixed runtime/serde
-// blob, so the object codec is written (and validated) exactly once.
-// Decoding is strict: truncation, overlong lengths, flag bytes other than
-// 0/1, unknown versions or types, and trailing bytes all reject the frame
-// — decode never reads past the buffer and never throws.
+// bytes, strings and byte blobs with a u32 length prefix, a bool as one
+// flag byte 0 or 1, and an optional u64 as a flag byte followed by the
+// value only when the flag is 1. An object's state crosses as the opaque
+// serde blob its source node encoded (runtime::Install::state,
+// runtime::Evict::Result): the frame codec never parses it — the
+// installing node decodes and validates it. Decoding is strict:
+// truncation, overlong lengths, flag bytes other than 0/1, unknown
+// versions or types, and trailing bytes all reject the frame — decode
+// never reads past the buffer and never throws.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +41,10 @@ namespace omig::transport {
 /// Protocol version stamped into every frame header. Version 2 added the
 /// piggybacked directory fields (runtime::Evict::forward_to,
 /// runtime::Install::self_entry) and made every flag byte strict (0 or 1).
-inline constexpr std::uint8_t kWireVersion = 2;
+/// Version 3 made the evict failure reply a zero-length blob (an empty
+/// state's 8-byte blob before) and dropped runtime::DirUpdate's
+/// `invalidate` flag.
+inline constexpr std::uint8_t kWireVersion = 3;
 
 /// Upper bound on one frame's payload. A length prefix beyond this is
 /// treated as malformed before any allocation happens, so a corrupt or

@@ -27,6 +27,7 @@
 #include "net/event_loop.hpp"
 #include "runtime/demo_types.hpp"
 #include "runtime/live_node.hpp"
+#include "runtime/serde.hpp"
 #include "transport/async_tcp_transport.hpp"
 #include "transport/bridge.hpp"
 #include "transport/node_server.hpp"
@@ -233,7 +234,8 @@ TEST(NodeServerDispatch, PipelinedFramesAreAnsweredInSendOrder) {
   Install install;
   install.seq = 1;
   install.name = "c";
-  install.state = runtime::ObjectState{"counter", {{"count", "0"}}};
+  install.state =
+      runtime::encode(runtime::ObjectState{"counter", {{"count", "0"}}});
   frames.emplace_back(1, std::move(install));
   for (std::uint64_t i = 1; i <= kFrames; ++i) {
     frames.push_back(invoke_frame(i + 1, "c", "add", "1"));

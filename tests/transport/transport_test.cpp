@@ -14,6 +14,7 @@
 #include "runtime/demo_types.hpp"
 #include "runtime/live_node.hpp"
 #include "runtime/live_system.hpp"
+#include "runtime/serde.hpp"
 #include "trace/log.hpp"
 #include "transport/async_tcp_transport.hpp"
 #include "transport/bridge.hpp"
@@ -81,7 +82,7 @@ protected:
     Install msg;
     msg.seq = next_seq_++;
     msg.name = name;
-    msg.state = std::move(state);
+    msg.state = runtime::encode(state);
     std::future<bool> done;
     if (tcp_->send(kSender, 0, msg, done) != SendStatus::Ok) {
       return false;
@@ -119,11 +120,12 @@ TEST_P(TcpLink, RequestReplyRoundTrip) {
   Evict evict;
   evict.seq = next_seq_++;
   evict.name = "c";
-  std::future<runtime::ObjectState> state;
-  ASSERT_EQ(tcp_->send(kSender, 0, evict, state), SendStatus::Ok);
-  const runtime::ObjectState evicted = state.get();
-  EXPECT_EQ(evicted.type, "counter");
-  EXPECT_EQ(evicted.fields.at("count"), "8");
+  std::future<util::Bytes> blob;
+  ASSERT_EQ(tcp_->send(kSender, 0, evict, blob), SendStatus::Ok);
+  const auto evicted = runtime::decode(blob.get());
+  ASSERT_TRUE(evicted.has_value());
+  EXPECT_EQ(evicted->type, "counter");
+  EXPECT_EQ(evicted->fields.at("count"), "8");
 }
 
 TEST_P(TcpLink, ManyInFlightRequestsDemultiplexByCorrelation) {
@@ -200,8 +202,8 @@ TEST_P(TcpLink, OversizedFrameIsRejectedWithoutKillingTheLink) {
   Install big;
   big.seq = next_seq_++;
   big.name = "blob";
-  big.state.type = "counter";
-  big.state.fields["payload"] = std::string(kMaxFramePayload + 1, 'x');
+  big.state = runtime::encode(runtime::ObjectState{
+      "counter", {{"payload", std::string(kMaxFramePayload + 1, 'x')}}});
   std::future<bool> done;
   EXPECT_EQ(tcp_->send(kSender, 0, big, done), SendStatus::Oversized);
   EXPECT_THROW(done.get(), std::future_error);  // reply broke, typed status
